@@ -23,9 +23,11 @@ run proceeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .numerics import dot
 
 
 class Record(NamedTuple):
@@ -66,14 +68,20 @@ def _stack_metrics(phi_matrix: np.ndarray) -> tuple[int, float]:
     Replacement quality compares rank first: building span dominates
     polishing the already-spanned directions.
     """
-    m, p = phi_matrix.shape
     sv = np.linalg.svd(phi_matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0, 0.0
-    tol = max(m, p) * np.finfo(float).eps * sv[0]
-    rank = int(np.sum(sv > tol))
-    sigma_min = float(sv[-1]) if p >= m else 0.0
-    return rank, sigma_min
+    return _qualities(sv[None], phi_matrix.shape)[0]
+
+
+def _qualities(sv: np.ndarray, shape: tuple[int, int]) -> list[tuple[int, float]]:
+    """(rank, sigma_min) of each of a batch of (m, p) matrices, from their
+    singular values, one descending row per matrix."""
+    m, p = shape
+    if sv.shape[1] == 0:
+        return [(0, 0.0)] * sv.shape[0]
+    tol = max(m, p) * np.finfo(float).eps * sv[:, :1]
+    ranks = np.sum(sv > tol, axis=1).tolist()
+    sigmas = sv[:, -1].tolist() if p >= m else [0.0] * sv.shape[0]
+    return list(zip(ranks, sigmas))
 
 
 class HistoryStack:
@@ -85,8 +93,11 @@ class HistoryStack:
         self.capacity = capacity
         self.records: list[Record] = []
         self.min_singular_value = 0.0
+        # derived from records by _rebuild; _phi_matrix = None marks them stale
         self._phi_matrix: np.ndarray | None = None
         self._residual_rhs: np.ndarray | None = None
+        self._gram: list[list[float]] = []
+        self._phi_rhs: list[float] = []
 
     def __len__(self) -> int:
         return len(self.records)
@@ -101,47 +112,66 @@ class HistoryStack:
     @property
     def residual_rhs(self) -> np.ndarray:
         """Per-record xdot_n - u, the recorded value of w* . phi_j."""
-        if self._residual_rhs is None:
+        if self._phi_matrix is None:
             self._rebuild()
         return self._residual_rhs
+
+    @property
+    def gram(self) -> list[list[float]]:
+        """Rows of the Gram matrix sum_j phi_j phi_j.T (empty for an empty stack)."""
+        if self._phi_matrix is None:
+            self._rebuild()
+        return self._gram
+
+    @property
+    def phi_rhs(self) -> list[float]:
+        """sum_j phi_j (xdot_n_j - u_j), so that sum_j phi_j eps_j = gram w - phi_rhs."""
+        if self._phi_matrix is None:
+            self._rebuild()
+        return self._phi_rhs
 
     def _rebuild(self):
         if self.records:
             self._phi_matrix = np.stack([r.phi for r in self.records], axis=1)
             self._residual_rhs = np.array([r.xdot_n - r.u for r in self.records])
+            self._gram = (self._phi_matrix @ self._phi_matrix.T).tolist()
+            self._phi_rhs = (self._phi_matrix @ self._residual_rhs).tolist()
         else:
             self._phi_matrix = np.zeros((0, 0))
             self._residual_rhs = np.zeros(0)
+            self._gram = []
+            self._phi_rhs = []
 
-    def try_record(self, phi: np.ndarray, xdot_n: float, u: float) -> bool:
+    def try_record(self, phi: Sequence[float], xdot_n: float, u: float) -> bool:
         """Offer a candidate record; returns True if it was stored.
 
         While the stack is filling every candidate is appended. Once full,
         the candidate replaces the record whose removal yields the best
-        strict improvement of (rank, sigma_min); candidates that cannot
-        improve it (including exact duplicates) are rejected.
+        strict improvement of (rank, sigma_min), the first such slot on a
+        tie; candidates that cannot improve it (including exact duplicates)
+        are rejected.
         """
         phi = np.array(phi, dtype=float)
         rec = Record(phi, float(xdot_n), float(u))
         if len(self.records) < self.capacity:
             self.records.append(rec)
             self._phi_matrix = None
-            self._residual_rhs = None
             self.min_singular_value = stack_sigma_min(self.phi_matrix)
             return True
 
-        for stored in self.records:
-            if np.array_equal(stored.phi, phi):
-                return False
+        current = self.phi_matrix
+        if np.any(np.all(current == phi[:, None], axis=0)):
+            return False
 
-        trial = self.phi_matrix.copy()
+        # trials[j] is the stack with slot j holding the candidate; one
+        # batched SVD scores every slot
+        trials = np.repeat(current[None], self.capacity, axis=0)
+        slots = np.arange(self.capacity)
+        trials[slots, :, slots] = phi
+        trial_sv = np.linalg.svd(trials, compute_uv=False)
         best_j = -1
-        best_quality = _stack_metrics(trial)
-        for j in range(self.capacity):
-            saved = trial[:, j].copy()
-            trial[:, j] = phi
-            quality = _stack_metrics(trial)
-            trial[:, j] = saved
+        best_quality = _stack_metrics(current)
+        for j, quality in enumerate(_qualities(trial_sv, current.shape)):
             if quality > best_quality:
                 best_j = j
                 best_quality = quality
@@ -149,16 +179,14 @@ class HistoryStack:
             return False
         self.records[best_j] = rec
         self._phi_matrix = None
-        self._residual_rhs = None
         self.min_singular_value = best_quality[1]
         return True
 
 
 @dataclass
 class LearnerState:
-    """Current weight estimate plus the machinery that updates it."""
+    """The weight estimator's gain and record stack."""
 
-    w: np.ndarray
     gamma_w: float
     stack: HistoryStack
     active: bool = True
@@ -171,18 +199,24 @@ def prediction_error(w: np.ndarray, record: Record) -> float:
 
 def weight_update_derivative(
     state: LearnerState,
-    phi_now: np.ndarray,
-    e: np.ndarray,
-    p: np.ndarray,
-) -> np.ndarray:
-    """Time derivative of the weight estimate; zero when learning is frozen."""
+    w: Sequence[float],
+    phi_now: Sequence[float],
+    e: Sequence[float],
+    p: Sequence[Sequence[float]],
+) -> list[float]:
+    """Time derivative of the weight estimate w; zero when learning is frozen.
+
+    The record sum goes through the stack's cached Gram matrix, so its
+    cost does not grow with the number of records.
+    """
     if not state.active:
-        return np.zeros_like(state.w)
-    s = float(p[-1] @ e)
-    wdot = -state.gamma_w * s * np.asarray(phi_now, dtype=float)
+        return [0.0] * len(w)
+    gamma = state.gamma_w
+    rate = -gamma * float(dot(p[-1], e))
     stack = state.stack
-    if len(stack):
-        phi_m = stack.phi_matrix
-        eps = phi_m.T @ state.w - stack.residual_rhs
-        wdot = wdot - state.gamma_w * (phi_m @ eps)
-    return wdot
+    if not len(stack):
+        return [rate * v for v in phi_now]
+    return [
+        rate * v - gamma * (dot(row, w) - b)
+        for v, row, b in zip(phi_now, stack.gram, stack.phi_rhs)
+    ]

@@ -17,11 +17,13 @@ linear ramp -m*s/rho (standard boundary-layer smoothing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import numerics
+from .numerics import dot
 from .plant import integrator_chain
 
 
@@ -29,11 +31,12 @@ from .plant import integrator_chain
 class ControllerConfig:
     """Gains and switches for the control law.
 
-    gains is the error-feedback row vector; its length fixes the system
-    order. q and r weight the matrix equation that produces P.
+    gains is the error-feedback row vector, stored as a tuple of floats;
+    its length fixes the system order. q and r weight the matrix equation
+    that produces P.
     """
 
-    gains: np.ndarray = field(default_factory=lambda: np.array([20.0, 20.0]))
+    gains: tuple[float, ...] = (20.0, 20.0)
     m: float = 1.0
     rho: float = 0.01
     q: np.ndarray | None = None
@@ -43,11 +46,12 @@ class ControllerConfig:
     m_auto: bool = False
 
     def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=float)
-        if self.gains.ndim != 1 or self.gains.size < 1:
+        gains = np.asarray(self.gains, dtype=float)
+        if gains.ndim != 1 or gains.size < 1:
             raise ValueError("gains must be a non-empty vector")
+        self.gains = tuple(gains.tolist())
         if self.q is None:
-            self.q = np.eye(self.gains.size)
+            self.q = np.eye(gains.size)
         else:
             self.q = np.asarray(self.q, dtype=float)
         if self.rho <= 0:
@@ -57,11 +61,10 @@ class ControllerConfig:
 
     @property
     def order(self) -> int:
-        return self.gains.size
+        return len(self.gains)
 
 
-@dataclass(frozen=True)
-class ControlBreakdown:
+class ControlBreakdown(NamedTuple):
     """Per-component view of one control evaluation."""
 
     u_fbl: float
@@ -92,12 +95,12 @@ def weighting_matrix(cfg: ControllerConfig) -> np.ndarray:
     return cfg.q + cfg.r * np.outer(cfg.gains, cfg.gains)
 
 
-def sliding_variable(p: np.ndarray, e: np.ndarray) -> float:
+def sliding_variable(p: Sequence[Sequence[float]], e: Sequence[float]) -> float:
     """s = b.T P e; with the integrator-chain b this is the last row of P e."""
-    return float(p[-1] @ e)
+    return float(dot(p[-1], e))
 
 
-def robustness_term(p: np.ndarray, e: np.ndarray, m: float, rho: float) -> float:
+def robustness_term(p: Sequence[Sequence[float]], e: Sequence[float], m: float, rho: float) -> float:
     """Boundary-layer robustness component; magnitude never exceeds m."""
     s = sliding_variable(p, e)
     if abs(s) > rho:
@@ -107,10 +110,10 @@ def robustness_term(p: np.ndarray, e: np.ndarray, m: float, rho: float) -> float
 
 def compute_control(
     cfg: ControllerConfig,
-    p: np.ndarray,
-    w: np.ndarray,
-    phi: np.ndarray,
-    e: np.ndarray,
+    p: Sequence[Sequence[float]],
+    w: Sequence[float],
+    phi: Sequence[float],
+    e: Sequence[float],
     xdot_n_ref: float,
     gp_mean: float = 0.0,
     m_value: float | None = None,
@@ -118,10 +121,11 @@ def compute_control(
     """Assemble the control input from the current estimates and errors.
 
     gp_mean must be 0 when GP compensation is inactive. m_value overrides
-    the configured robustness gain (used by the auto-gain mode).
+    the configured robustness gain (used by the auto-gain mode). p is
+    P as rows; a numpy matrix works too.
     """
-    u_fbl = -float(w @ phi)
-    u_sfb = float(cfg.gains @ e)
+    u_fbl = -float(dot(w, phi))
+    u_sfb = float(dot(cfg.gains, e))
     u_ref = float(xdot_n_ref)
     u_gp = float(gp_mean)
     if cfg.rob_enabled:

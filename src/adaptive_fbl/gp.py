@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import AllStartsFailedError, NotPositiveDefiniteError, UnfittedModelError
+from .numerics import dot
 
 JITTER_REL = 1e-8
 LOG_BOUND = 6.0  # |log hyperparam| cap during optimization
@@ -185,14 +187,14 @@ def log_marginal_likelihood(
 
 
 def training_target(
-    xdot_n_measured: float, w: np.ndarray, phi: np.ndarray, u_applied: float
+    xdot_n_measured: float, w: Sequence[float], phi: Sequence[float], u_applied: float
 ) -> float:
     """Regression target: measured state derivative minus the model's account.
 
     Equals the disturbance exactly when the weight estimate is ideal;
     otherwise the residual model error folds in as well.
     """
-    return float(xdot_n_measured) - float(w @ phi) - float(u_applied)
+    return float(xdot_n_measured) - float(dot(w, phi)) - float(u_applied)
 
 
 class GpModel:

@@ -1,13 +1,16 @@
 """Dense linear algebra for small systems and fixed-step RK4 integration.
 
-Everything here operates on plain numpy arrays. Matrices are tiny
-(state order n <= 5, kernel windows ~100), so dense direct methods are
-used throughout.
+Matrices are tiny (state order n <= 5, kernel windows ~100), so dense
+direct methods are used throughout. The integrator and the dot products
+work on plain float sequences: on vectors of 2-5 elements a numpy call
+costs far more in dispatch than in arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from operator import mul
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,21 +91,44 @@ def solve_lyapunov(a_cl: np.ndarray, s: np.ndarray) -> np.ndarray:
     return p
 
 
+def dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """Dot product of two short float sequences, summed left to right."""
+    return sum(map(mul, a, b))
+
+
+def quad_form(m: Sequence[Sequence[float]], v: Sequence[float]) -> float:
+    """v.T m v for a square matrix given as rows."""
+    return dot(v, [dot(row, v) for row in m])
+
+
 def rk4_step(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[[float, Sequence[float]], Sequence[float]],
     t: float,
-    x: np.ndarray,
+    x: Sequence[float],
     h: float,
-) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of size h."""
+) -> list[float]:
+    """One classical fourth-order Runge-Kutta step of size h.
+
+    The first stage is f(t, x) with x itself, the very object passed in,
+    so a caller that already holds the derivative at (t, x) can return it
+    instead of evaluating again. Raises NonFiniteDerivativeError as soon
+    as a stage returns inf or nan.
+    """
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    k1 = np.asarray(f(t, x))
-    k2 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k1))
-    k3 = np.asarray(f(t + 0.5 * h, x + 0.5 * h * k2))
-    k4 = np.asarray(f(t + h, x + h * k3))
-    for k in (k1, k2, k3, k4):
-        if not np.all(np.isfinite(k)):
-            raise NonFiniteDerivativeError(f"non-finite derivative near t={t:g}")
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half = 0.5 * h
+    k1 = _finite(f(t, x), t)
+    k2 = _finite(f(t + half, [xi + half * ki for xi, ki in zip(x, k1)]), t)
+    k3 = _finite(f(t + half, [xi + half * ki for xi, ki in zip(x, k2)]), t)
+    k4 = _finite(f(t + h, [xi + h * ki for xi, ki in zip(x, k3)]), t)
+    sixth = h / 6.0
+    return [
+        xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ]
+
+
+def _finite(k: Sequence[float], t: float) -> Sequence[float]:
+    if not all(map(math.isfinite, k)):
+        raise NonFiniteDerivativeError(f"non-finite derivative near t={t:g}")
+    return k

@@ -16,12 +16,13 @@ disturbance d. The built-in benchmark is a second-order system with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteValueError
+from .numerics import dot
 
 BENCHMARK_NAME = "benchmark_5717148"
 BENCHMARK_IDEAL_WEIGHTS = np.array([1.0, -1.0, 0.5])
@@ -50,9 +51,14 @@ class Plant:
 
     order: int
     ideal_weights: np.ndarray
-    regressor: Callable[[np.ndarray], np.ndarray]
-    disturbance: Callable[[float, np.ndarray], float]
+    regressor: Callable[[Sequence[float]], Sequence[float]]
+    disturbance: Callable[[float, Sequence[float]], float]
     name: str = "custom"
+    # ideal_weights as floats, for plant_step's dot product
+    _weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_weights", tuple(np.asarray(self.ideal_weights, dtype=float).tolist()))
 
 
 @dataclass(frozen=True)
@@ -62,39 +68,50 @@ class ReferenceModel:
     Component i+1 of x_ref must be the time derivative of component i.
     """
 
-    trajectory: Callable[[float], tuple[np.ndarray, float]]
+    trajectory: Callable[[float], tuple[Sequence[float], float]]
 
 
-def eval_regressor(plant: Plant, x: np.ndarray) -> np.ndarray:
+def eval_regressor(plant: Plant, x: Sequence[float]) -> Sequence[float]:
     """Evaluate phi(x), raising NonFiniteValueError on overflow.
 
     A non-finite regressor means the state escaped the modelled envelope;
     the simulation must abort with a diagnostic rather than continue.
+    The shape of phi is checked once per run by check_regressor_shape.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (plant.order,):
-        raise ValueError(f"state must have length {plant.order}, got shape {x.shape}")
-    phi = np.asarray(plant.regressor(x), dtype=float)
-    if phi.shape != plant.ideal_weights.shape:
-        raise ValueError(
-            f"regressor returned {phi.shape}, expected {plant.ideal_weights.shape}"
-        )
-    if not np.all(np.isfinite(phi)):
-        raise NonFiniteValueError(f"regressor overflow at state {x.tolist()}")
+    if len(x) != plant.order:
+        raise ValueError(f"state must have length {plant.order}, got {len(x)}")
+    phi = plant.regressor(x)
+    if not all(map(math.isfinite, phi)):
+        raise NonFiniteValueError(f"regressor overflow at state {list(x)}")
     return phi
 
 
-def plant_derivative(plant: Plant, t: float, x: np.ndarray, u: float) -> np.ndarray:
-    """Time derivative of the state under control input u."""
-    x = np.asarray(x, dtype=float)
-    phi = eval_regressor(plant, x)
+def check_regressor_shape(plant: Plant, x: Sequence[float]) -> None:
+    """Raise ValueError unless phi(x) has one entry per ideal weight."""
+    shape = np.shape(plant.regressor(x))
+    if shape != plant.ideal_weights.shape:
+        raise ValueError(f"regressor returned {shape}, expected {plant.ideal_weights.shape}")
+
+
+def plant_step(
+    plant: Plant, t: float, x: Sequence[float], phi: Sequence[float], u: float
+) -> tuple[list[float], float]:
+    """State derivative under control input u, and the disturbance in it.
+
+    phi is eval_regressor(plant, x). This is the one definition of the
+    chain dynamics; the simulator and plant_derivative both go through it.
+    """
     d = plant.disturbance(t, x)
     if not math.isfinite(d):
         raise NonFiniteValueError(f"disturbance non-finite at t={t:g}")
-    xdot = np.empty(plant.order)
-    xdot[:-1] = x[1:]
-    xdot[-1] = float(plant.ideal_weights @ phi) + u + d
-    return xdot
+    xdot = list(x[1:])
+    xdot.append(dot(plant._weights, phi) + u + d)
+    return xdot, d
+
+
+def plant_derivative(plant: Plant, t: float, x: Sequence[float], u: float) -> list[float]:
+    """Time derivative of the state under control input u."""
+    return plant_step(plant, t, x, eval_regressor(plant, x), u)[0]
 
 
 def eval_reference(ref: ReferenceModel, t: float) -> tuple[np.ndarray, float]:
@@ -103,16 +120,13 @@ def eval_reference(ref: ReferenceModel, t: float) -> tuple[np.ndarray, float]:
     return np.asarray(x_ref, dtype=float), float(xdot_n_ref)
 
 
-def _benchmark_regressor(x: np.ndarray) -> np.ndarray:
+def _benchmark_regressor(x: Sequence[float]) -> tuple[float, float, float]:
     theta, theta_dot = float(x[0]), float(x[1])
-    with np.errstate(over="ignore"):
-        return np.array(
-            [
-                math.sin(theta),
-                abs(theta_dot) * theta,
-                np.exp(theta * theta_dot),
-            ]
-        )
+    try:
+        growth = math.exp(theta * theta_dot)
+    except OverflowError:
+        growth = math.inf  # eval_regressor turns this into NonFiniteValueError
+    return (math.sin(theta), abs(theta_dot) * theta, growth)
 
 
 def _benchmark_disturbance(t: float, x: np.ndarray) -> float:
@@ -145,15 +159,15 @@ def sine_reference(amplitude: float = 0.5, omega: float = 1.0, order: int = 2) -
     if amplitude <= 0 or omega <= 0:
         raise ValueError("amplitude and omega must be positive")
 
-    def nth_derivative(t: float, k: int) -> float:
-        # quarter-phase case analysis keeps zeros exact
-        base = (math.sin, math.cos)[k % 2](omega * t)
-        sign = -1.0 if k % 4 in (2, 3) else 1.0
-        return amplitude * omega**k * sign * base
+    # d^k/dt^k of amplitude*sin(omega t) is scale_k * (sin, cos)[k % 2];
+    # the quarter-phase case analysis keeps zeros exact
+    scales = [amplitude * omega**k * (-1.0 if k % 4 in (2, 3) else 1.0) for k in range(order + 1)]
 
-    def trajectory(t: float) -> tuple[np.ndarray, float]:
-        x_ref = np.array([nth_derivative(t, k) for k in range(order)])
-        return x_ref, nth_derivative(t, order)
+    def trajectory(t: float) -> tuple[list[float], float]:
+        phase = omega * t
+        base = (math.sin(phase), math.cos(phase))
+        chain = [scale * base[k % 2] for k, scale in enumerate(scales)]
+        return chain[:order], chain[order]
 
     return ReferenceModel(trajectory=trajectory)
 

@@ -17,13 +17,17 @@ The cases differ in which learning pieces are active:
 
 The plant state and the weight estimate are integrated together as one
 RK4 state so everything advances at a single integration order. The
-control law is evaluated inside every integrator stage.
+control law is evaluated inside every integrator stage, and the row
+evaluation that fills the trace at each step is the first stage: one
+step costs four evaluations of the closed loop. The stepping core runs
+on plain float lists; numpy holds the trace and does the per-run setup.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +41,16 @@ from .controller import (
 )
 from .errors import StateEscapeError
 from .gp import GpConfig, GpModel, training_target
-from .numerics import rk4_step
-from .plant import Plant, ReferenceModel, benchmark_plant, eval_regressor, sine_reference
+from .numerics import dot, quad_form, rk4_step
+from .plant import (
+    Plant,
+    ReferenceModel,
+    benchmark_plant,
+    check_regressor_shape,
+    eval_regressor,
+    plant_step,
+    sine_reference,
+)
 
 CASE_IDS = ("a", "b", "c", "d", "e")
 INITIAL_WEIGHT_ESTIMATE = np.array([0.5, -1.3, 0.75])
@@ -192,9 +204,9 @@ def compute_metrics(trace: Trace, ref_amplitude: float) -> Metrics:
 
 
 def lyapunov_monitor(
-    p: np.ndarray,
-    s_tilde: np.ndarray,
-    e: np.ndarray,
+    p: Sequence[Sequence[float]],
+    s_tilde: Sequence[Sequence[float]],
+    e: Sequence[float],
     bracket: float,
     u_rob: float,
     m: float,
@@ -206,9 +218,9 @@ def lyapunov_monitor(
     plus GP compensation); condition_ok means the robustness gain dominates
     it, which is when the rate is guaranteed negative outside |s| <= rho.
     """
-    v = float(e @ (p @ e))
+    v = float(quad_form(p, e))
     s = sliding_variable(p, e)
-    vdot = -float(e @ (s_tilde @ e)) + 2.0 * s * (bracket + u_rob)
+    vdot = -float(quad_form(s_tilde, e)) + 2.0 * s * (bracket + u_rob)
     return v, vdot, m > abs(bracket)
 
 
@@ -259,13 +271,15 @@ def run_case(
 
     n = plant.order
     m_dim = plant.ideal_weights.size
-    w0 = scenario.w0 if scenario.w0 is not None else INITIAL_WEIGHT_ESTIMATE.copy()
+    w0 = scenario.w0 if scenario.w0 is not None else INITIAL_WEIGHT_ESTIMATE
     if w0.shape != (m_dim,):
         raise ValueError(f"w0 must have length {m_dim}")
 
-    p_mat = compute_P(cfg)
-    s_tilde = weighting_matrix(cfg)
+    # the hot loop works on floats: P and S as rows, states as lists
+    p_rows = compute_P(cfg).tolist()
+    s_rows = weighting_matrix(cfg).tolist()
     w_star = plant.ideal_weights
+    w_star_list = w_star.tolist()
 
     h = scenario.h
     n_steps = int(round(scenario.duration / h))
@@ -277,7 +291,7 @@ def run_case(
     target_sign = -1.0 if gp_cfg.paper_literal_sign else 1.0
 
     stack = HistoryStack(learner.stack_capacity)
-    lstate = LearnerState(w=w0.copy(), gamma_w=learner.gamma_w, stack=stack, active=scenario.cl_enabled)
+    lstate = LearnerState(gamma_w=learner.gamma_w, stack=stack, active=scenario.cl_enabled)
     model = GpModel.from_config(gp_cfg, seed=seed) if scenario.gp_enabled and not oracle_gp else None
 
     rows = n_steps + 1
@@ -307,47 +321,46 @@ def run_case(
         stage=np.zeros(rows, dtype=int),
     )
 
-    x = np.zeros(n)
-    w = w0.copy()
+    x = [0.0] * n
+    w = w0.tolist()
+    check_regressor_shape(plant, x)
+    no_learning = [0.0] * m_dim
     running_mismatch = 0.0
-    # half-step margin keeps the time gate in the derivative aligned with the
-    # index gate used for rows, immune to float fuzz in i2 * h
+    # The compensation gate, shared by rows and integrator stages. The
+    # half-step margin puts every row with index i >= i2 on the compensating
+    # side, immune to float fuzz in i * h.
     t2_gate = (i2 - 0.5) * h
 
-    def gp_compensation(t: float, x_s: np.ndarray, w_s: np.ndarray, phi: np.ndarray) -> float:
-        if not scenario.gp_enabled or t < t2_gate:
-            return 0.0
-        if oracle_gp:
-            return plant.disturbance(t, x_s) - float((w_s - w_star) @ phi)
-        if model is not None and model.fitted:
-            return model.predict_mean(x_s)
-        return 0.0
+    def evaluate(t, x, w, m_value, row):
+        """The closed loop at (t, x, w): control law and plant step.
 
-    def derivative(t: float, z: np.ndarray, m_value: float) -> np.ndarray:
-        x_s = z[:n]
-        w_s = z[n:]
+        Returns (x_ref, e, phi, gp_var, bd, xdot, d). On a row (row=True)
+        the GP term comes with its posterior variance; inside integrator
+        stages only the mean is needed.
+        """
         x_ref, xdot_n_ref = reference.trajectory(t)
-        e = x_ref - x_s
-        phi = eval_regressor(plant, x_s)
-        g = gp_compensation(t, x_s, w_s, phi)
-        bd = compute_control(cfg, p_mat, w_s, phi, e, xdot_n_ref, g, m_value=m_value)
-        zdot = np.empty(n + m_dim)
-        zdot[: n - 1] = x_s[1:]
-        zdot[n - 1] = float(w_star @ phi) + bd.u_total + plant.disturbance(t, x_s)
+        e = [r - v for r, v in zip(x_ref, x)]
+        phi = eval_regressor(plant, x)
+        g, g_var = 0.0, 0.0
+        if scenario.gp_enabled and t >= t2_gate:
+            if oracle_gp:
+                g = plant.disturbance(t, x) - dot([a - b for a, b in zip(w, w_star_list)], phi)
+            elif model.fitted:
+                g, g_var = model.predict(x) if row else (model.predict_mean(x), 0.0)
+        bd = compute_control(cfg, p_rows, w, phi, e, xdot_n_ref, g, m_value=m_value)
+        xdot, d = plant_step(plant, t, x, phi, bd.u_total)
+        return x_ref, e, phi, g_var, bd, xdot, d
+
+    def weight_rate(t, w, phi, e):
         if scenario.cl_enabled and t < scenario.t1:
-            lstate.w = w_s
-            zdot[n:] = weight_update_derivative(lstate, phi, e, p_mat)
-        else:
-            zdot[n:] = 0.0
-        return zdot
+            return weight_update_derivative(lstate, w, phi, e, p_rows)
+        return no_learning
 
     prev_xn = None
     for i in range(rows):
         t = i * h
-        if np.max(np.abs(x)) > STATE_ESCAPE_LIMIT:
-            raise StateEscapeError(
-                f"state left |x| <= {STATE_ESCAPE_LIMIT:g} at t={t:g}: {x.tolist()}"
-            )
+        if max(map(abs, x)) > STATE_ESCAPE_LIMIT:
+            raise StateEscapeError(f"state left |x| <= {STATE_ESCAPE_LIMIT:g} at t={t:g}: {x}")
 
         if (
             model is not None
@@ -357,33 +370,19 @@ def run_case(
         ):
             model.fit()
 
-        x_ref, xdot_n_ref = reference.trajectory(t)
-        e = x_ref - x
-        phi = eval_regressor(plant, x)
-        d_now = plant.disturbance(t, x)
-
-        if model is not None and model.fitted:
-            gp_mean_row, gp_var_row = model.predict(x)
-        else:
-            gp_mean_row, gp_var_row = 0.0, 0.0
-        if oracle_gp and scenario.gp_enabled and i >= i2:
-            gp_mean_row = plant.disturbance(t, x) - float((w - w_star) @ phi)
-            gp_var_row = 0.0
-        compensating = scenario.gp_enabled and i >= i2 and (oracle_gp or (model is not None and model.fitted))
-        g_control = gp_mean_row if compensating else 0.0
-
         m_value = cfg.m
         if cfg.m_auto:
             m_value = min(max(1.1 * running_mismatch, 0.1), 10.0)
 
-        bd = compute_control(cfg, p_mat, w, phi, e, xdot_n_ref, g_control, m_value=m_value)
+        x_ref, e, phi, gp_var, bd, xdot, d = evaluate(t, x, w, m_value, row=True)
 
         if derivative_mode == "fd" and prev_xn is not None:
             xdot_n_meas = (x[-1] - prev_xn) / h
         else:
-            xdot_n_meas = float(w_star @ phi) + bd.u_total + d_now
-        bracket = float(w @ phi) + bd.u_total + bd.u_gp - xdot_n_meas
-        v_val, vdot_val, _ = lyapunov_monitor(p_mat, s_tilde, e, bracket, bd.u_rob, m_value, cfg.rho)
+            xdot_n_meas = xdot[-1]
+        # -u_fbl is w . phi
+        bracket = -bd.u_fbl + bd.u_total + bd.u_gp - xdot_n_meas
+        v_val, vdot_val, _ = lyapunov_monitor(p_rows, s_rows, e, bracket, bd.u_rob, m_value, cfg.rho)
 
         tr.t[i] = t
         tr.x[i] = x
@@ -396,9 +395,9 @@ def run_case(
         tr.u_gp[i] = bd.u_gp
         tr.u_rob[i] = bd.u_rob
         tr.w[i] = w
-        tr.gp_mean[i] = gp_mean_row
-        tr.gp_var[i] = gp_var_row
-        tr.d_true[i] = d_now
+        tr.gp_mean[i] = bd.u_gp
+        tr.gp_var[i] = gp_var
+        tr.d_true[i] = d
         tr.v[i] = v_val
         tr.vdot[i] = vdot_val
         tr.stage[i] = 1 if i < i1 else (2 if i < i2 else 3)
@@ -412,8 +411,19 @@ def run_case(
 
         if i < n_steps:
             prev_xn = x[-1]
-            z = rk4_step(lambda tt, zz: derivative(tt, zz, m_value), t, np.concatenate([x, w]), h)
-            x = z[:n]
-            w = z[n:]
+            # The row's evaluation is the first RK4 stage; its weight rate is
+            # taken only now, after try_record may have changed the stack.
+            z = x + w
+            k1 = xdot + weight_rate(t, w, phi, e)
+
+            def stage(tt, zz):
+                if zz is z:
+                    return k1
+                xs, ws = zz[:n], zz[n:]
+                _, e_s, phi_s, _, _, xdot_s, _ = evaluate(tt, xs, ws, m_value, row=False)
+                return xdot_s + weight_rate(tt, ws, phi_s, e_s)
+
+            z_next = rk4_step(stage, t, z, h)
+            x, w = z_next[:n], z_next[n:]
 
     return tr, compute_metrics(tr, ref_amplitude)

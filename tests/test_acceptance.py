@@ -240,14 +240,13 @@ def test_c11_exponential_stack_convergence():
     lam_min = float(np.min(np.linalg.eigvalsh(stack.phi_matrix @ stack.phi_matrix.T)))
     assert lam_min > 0.0
 
-    state = LearnerState(np.array([0.5, -1.3, 0.75]), gamma, stack)
-    w = state.w.copy()
+    state = LearnerState(gamma, stack)
+    w = np.array([0.5, -1.3, 0.75])
     norm0 = float(np.linalg.norm(w - W_STAR))
     h = 1e-3
 
     def f(t, w_vec):
-        state.w = w_vec
-        return weight_update_derivative(state, np.zeros(3), np.zeros(2), np.eye(2))
+        return weight_update_derivative(state, w_vec, np.zeros(3), np.zeros(2), np.eye(2))
 
     worst_margin = 0.0
     for i in range(3000):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adaptive_fbl.cli import (
+    EMIT_BLOCK_ROWS,
     RunConfig,
     emit_report,
     emit_trace,
@@ -73,6 +74,10 @@ class TestParseConfig:
     def test_negative_learning_rate_rejected(self):
         with pytest.raises(OutOfRangeError):
             parse_config("gamma_w = -1")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            parse_config("seed = -1")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(UnknownKeyError):
@@ -149,6 +154,26 @@ class TestEmitTrace:
             np.testing.assert_array_equal(loaded[name], col.astype(float), err_msg=name)
 
 
+    def test_matches_per_cell_formatter(self, tmp_path):
+        """Block-wise formatting writes the same bytes as formatting each
+        cell on its own, across block boundaries and for special values."""
+        tr = tiny_trace(2 * EMIT_BLOCK_ROWS + 3)
+        tr.u_gp[:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+        tr.x[EMIT_BLOCK_ROWS - 1 : EMIT_BLOCK_ROWS + 1, 0] = [0.1, 1e22]
+        path = tmp_path / "t.csv"
+        emit_trace(tr, path)
+
+        cols = tr.columns()
+        stage_col = len(cols) - 1
+        lines = [",".join(tr.column_names())]
+        for i in range(tr.n_rows):
+            lines.append(",".join(
+                str(int(col[i])) if j == stage_col else repr(float(col[i]))
+                for j, col in enumerate(cols)
+            ))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 class TestEmitReport:
     def test_parity_ratio_present_for_b_and_e(self, tmp_path):
         path = tmp_path / "r.txt"
@@ -214,6 +239,13 @@ class TestMain:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("gamma_w = -3\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("cases = a\nseed = -1\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o1")]) == 2
+        assert main(["--cases", "a", "--seed", "-1", "--out", str(tmp_path / "o2")]) == 2
+        assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
 
     def test_cli_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.cfg"

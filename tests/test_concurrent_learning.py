@@ -47,8 +47,8 @@ class TestPredictionError:
 
 class TestWeightUpdateDerivative:
     def test_zero_error_empty_stack(self):
-        state = LearnerState(np.array([0.5, -1.3, 0.75]), 3.0, HistoryStack(5))
-        wdot = weight_update_derivative(state, np.ones(3), np.zeros(2), P_BENCH)
+        state = LearnerState(3.0, HistoryStack(5))
+        wdot = weight_update_derivative(state, np.array([0.5, -1.3, 0.75]), np.ones(3), np.zeros(2), P_BENCH)
         np.testing.assert_array_equal(wdot, np.zeros(3))
 
     def test_ideal_weights_quiescent(self):
@@ -57,8 +57,8 @@ class TestWeightUpdateDerivative:
         for _ in range(5):
             rec = record_from_truth(rng.uniform(-1, 1, 3), rng.uniform(-1, 1))
             stack.try_record(rec.phi, rec.xdot_n, rec.u)
-        state = LearnerState(W_STAR.copy(), 3.0, stack)
-        wdot = weight_update_derivative(state, np.ones(3), np.zeros(2), P_BENCH)
+        state = LearnerState(3.0, stack)
+        wdot = weight_update_derivative(state, W_STAR.copy(), np.ones(3), np.zeros(2), P_BENCH)
         np.testing.assert_allclose(wdot, np.zeros(3), atol=1e-12)
 
     def test_single_record_sum_term(self):
@@ -67,15 +67,15 @@ class TestWeightUpdateDerivative:
         stack.try_record(np.array([1.0, 0.0, 0.0]), xdot_n=0.75, u=0.0)
         w = np.array([1.0, 0.0, 0.0])
         assert abs(prediction_error(w, stack.records[0]) - 0.25) <= 1e-15
-        state = LearnerState(w, 3.0, stack)
-        wdot = weight_update_derivative(state, np.zeros(3), np.zeros(2), P_BENCH)
+        state = LearnerState(3.0, stack)
+        wdot = weight_update_derivative(state, w, np.zeros(3), np.zeros(2), P_BENCH)
         np.testing.assert_allclose(wdot, [-0.75, 0.0, 0.0], atol=1e-15)
 
     def test_frozen_state_returns_zero(self):
         stack = HistoryStack(5)
         stack.try_record(np.array([1.0, 0.0, 0.0]), 0.75, 0.0)
-        state = LearnerState(np.zeros(3), 3.0, stack, active=False)
-        wdot = weight_update_derivative(state, np.ones(3), np.ones(2), P_BENCH)
+        state = LearnerState(3.0, stack, active=False)
+        wdot = weight_update_derivative(state, np.zeros(3), np.ones(3), np.ones(2), P_BENCH)
         np.testing.assert_array_equal(wdot, np.zeros(3))
 
 
@@ -132,6 +132,64 @@ class TestHistoryStack:
             last = stack.min_singular_value
 
 
+    def test_batched_scoring_matches_per_slot_loop(self):
+        """Stored records equal those of a reference that scores each
+        replacement slot with its own SVD, over a seeded mix of fresh,
+        duplicate and rank-deficient offers; capacity 2 keeps the stack
+        narrower than weight space, where sigma_min stays 0."""
+        for capacity in (2, 6, 35):
+            rng = np.random.default_rng(capacity)
+            stack, reference = HistoryStack(capacity), []
+            offered = []
+            for _ in range(300):
+                kind = rng.integers(3)
+                if kind == 0 and offered:
+                    phi = offered[rng.integers(len(offered))].copy()
+                elif kind == 1:
+                    phi = np.array([rng.uniform(-1, 1), 0.0, 0.0])
+                else:
+                    phi = rng.uniform(-1, 1, 3)
+                offered.append(phi)
+                xdot_n, u = rng.uniform(-1, 1, 2)
+                stored = stack.try_record(phi, xdot_n, u)
+                assert stored == per_slot_try_record(reference, capacity, phi, xdot_n, u)
+                assert len(stack.records) == len(reference)
+                for rec, (phi_r, xdot_r, u_r) in zip(stack.records, reference):
+                    assert np.array_equal(rec.phi, phi_r)
+                    assert (rec.xdot_n, rec.u) == (xdot_r, u_r)
+
+
+def per_slot_try_record(records, capacity, phi, xdot_n, u):
+    """Reference replacement rule: one SVD per candidate slot."""
+
+    def quality(mat):
+        sv = np.linalg.svd(mat, compute_uv=False)
+        if sv[0] == 0.0:
+            return 0, 0.0
+        tol = max(mat.shape) * np.finfo(float).eps * sv[0]
+        return int(np.sum(sv > tol)), float(sv[-1]) if mat.shape[1] >= mat.shape[0] else 0.0
+
+    phi = np.array(phi, dtype=float)
+    if len(records) < capacity:
+        records.append((phi, float(xdot_n), float(u)))
+        return True
+    if any(np.array_equal(r[0], phi) for r in records):
+        return False
+    trial = np.stack([r[0] for r in records], axis=1)
+    best_j, best = -1, quality(trial)
+    for j in range(capacity):
+        saved = trial[:, j].copy()
+        trial[:, j] = phi
+        q = quality(trial)
+        trial[:, j] = saved
+        if q > best:
+            best_j, best = j, q
+    if best_j < 0:
+        return False
+    records[best_j] = (phi, float(xdot_n), float(u))
+    return True
+
+
 class TestExponentialConvergence:
     def test_full_rank_stack_contracts_weights(self):
         """With the error forced to zero, a frozen spanning stack drives the
@@ -151,15 +209,14 @@ class TestExponentialConvergence:
         lam_min = float(np.min(np.linalg.eigvalsh(gram)))
         assert lam_min > 0.0
 
-        state = LearnerState(np.array([0.5, -1.3, 0.75]), gamma, stack)
-        w = state.w.copy()
+        state = LearnerState(gamma, stack)
+        w = np.array([0.5, -1.3, 0.75])
         h = 1e-3
         norm0 = np.linalg.norm(w - W_STAR)
         prev = norm0
 
         def f(t, w_vec):
-            state.w = w_vec
-            return weight_update_derivative(state, np.zeros(3), np.zeros(2), P_BENCH)
+            return weight_update_derivative(state, w_vec, np.zeros(3), np.zeros(2), P_BENCH)
 
         for i in range(2000):
             w = rk4_step(f, i * h, w, h)
