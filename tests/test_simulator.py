@@ -184,7 +184,8 @@ class TestSteppingCore:
 
         def positional_rk4(f, t, z, h):
             counts["rk4_step"] += 1
-            return rk4(f, t, z, h)
+            # hand on a wrapped f, as a tracer does
+            return rk4(lambda tt, zz: f(tt, zz), t, z, h)
 
         monkeypatch.setattr(simulator, "rk4_step", positional_rk4)
         steps = 20
