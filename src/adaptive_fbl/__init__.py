@@ -5,7 +5,6 @@ from .concurrent_learning import (
     HistoryStack,
     LearnerConfig,
     LearnerState,
-    prediction_error,
     weight_update_derivative,
 )
 from .controller import (
@@ -28,15 +27,13 @@ from .errors import (
     UnfittedModelError,
     UnknownKeyError,
 )
-from .gp import GpConfig, GpModel, Hyperparams, kernel, log_marginal_likelihood, training_target
-from .numerics import cholesky, rk4_step, solve_lyapunov
+from .gp import GpConfig, GpModel, Hyperparams, log_marginal_likelihood, training_target
+from .numerics import rk4_step, solve_lyapunov
 from .plant import (
     Plant,
     ReferenceModel,
     benchmark_plant,
-    eval_reference,
     eval_regressor,
-    plant_derivative,
     sine_reference,
 )
 from .simulator import (

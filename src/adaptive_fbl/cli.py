@@ -66,7 +66,7 @@ class RunConfig:
     derivative_mode: str = "exact"
 
     def scenario(self, case_id: str) -> Scenario:
-        scn = scenario_for_case(case_id, h=self.h, rob_enabled=self.rob_enabled)
+        scn = scenario_for_case(case_id, h=self.h)
         # cl_enabled / gp_enabled can only confirm what the case defines
         if self.cl_enabled is not None and self.cl_enabled != scn.cl_enabled:
             raise OutOfRangeError(
@@ -78,24 +78,30 @@ class RunConfig:
             )
         return scn
 
-    def controller_config(self, scenario: Scenario) -> ControllerConfig:
-        return ControllerConfig(
-            gains=np.asarray(self.gains, dtype=float),
-            m=self.m,
-            rho=self.rho,
-            q=None if self.q is None else np.asarray(self.q, dtype=float),
-            r=self.r,
-            gp_enabled=scenario.gp_enabled,
-            rob_enabled=scenario.rob_enabled,
-            m_auto=self.m_auto,
-        )
+    def controller_config(self) -> ControllerConfig:
+        """The control-law settings, checked against the plant's order."""
+        try:
+            ctl = ControllerConfig(
+                gains=np.asarray(self.gains, dtype=float),
+                m=self.m,
+                rho=self.rho,
+                q=None if self.q is None else np.asarray(self.q, dtype=float),
+                r=self.r,
+                rob_enabled=self.rob_enabled,
+                m_auto=self.m_auto,
+            )
+        except ValueError as exc:
+            raise OutOfRangeError(str(exc)) from None
+        order = PLANTS[self.plant]().order
+        if ctl.order != order:
+            raise OutOfRangeError(f"gains has {ctl.order} entries, plant {self.plant} has order {order}")
+        return ctl
 
-    def learner_config(self, scenario: Scenario) -> LearnerConfig:
+    def learner_config(self) -> LearnerConfig:
         return LearnerConfig(
             gamma_w=self.gamma_w,
             stack_capacity=self.stack_capacity,
             record_period=self.record_period,
-            cl_enabled=scenario.cl_enabled,
         )
 
     def gp_config(self) -> GpConfig:
@@ -274,8 +280,7 @@ def emit_trace(trace: Trace, path) -> None:
     Rows are formatted a block at a time, column by column, which keeps the
     strings of only one block alive at once.
     """
-    names = trace.column_names()
-    cols = trace.columns()
+    names, cols = zip(*trace.named_columns())
     stage_col = len(cols) - 1
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
@@ -288,17 +293,6 @@ def emit_trace(trace: Trace, path) -> None:
                 for j, col in enumerate(cols)
             ]
             fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
-
-
-def load_trace_csv(path) -> dict[str, np.ndarray]:
-    """Read an emitted trace back as a mapping of column name -> array."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = [[] for _ in header]
-        for line in fh:
-            for cell, col in zip(line.strip().split(","), data):
-                col.append(float(cell))
-    return {name: np.array(col) for name, col in zip(header, data)}
 
 
 def _evaluate_checks(metrics: dict[str, Metrics]) -> list[tuple[str, float, float, bool]]:
@@ -385,6 +379,9 @@ def main(argv=None) -> int:
             cfg.h = _positive("h")(args.h)
         if args.paper_literal_gp_sign:
             cfg.paper_literal_gp_sign = True
+        # everything a case needs is resolved before the first one runs
+        scenarios = [cfg.scenario(case_id) for case_id in cfg.cases]
+        controller = cfg.controller_config()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -393,13 +390,13 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     metrics: dict[str, Metrics] = {}
-    for case_id in cfg.cases:
+    for scenario in scenarios:
+        case_id = scenario.case_id
         try:
-            scenario = cfg.scenario(case_id)
             trace, m = run_case(
                 scenario,
-                cfg=cfg.controller_config(scenario),
-                learner=cfg.learner_config(scenario),
+                cfg=controller,
+                learner=cfg.learner_config(),
                 gp_cfg=cfg.gp_config(),
                 seed=cfg.seed,
                 plant=PLANTS[cfg.plant](disturbed=scenario.disturbed),

@@ -43,7 +43,6 @@ class LearnerConfig:
     gamma_w: float = 3.0
     stack_capacity: int = 35
     record_period: float = 0.05
-    cl_enabled: bool = True
 
     def __post_init__(self):
         if self.gamma_w <= 0:
@@ -95,7 +94,6 @@ class HistoryStack:
         self.min_singular_value = 0.0
         # derived from records by _rebuild; _phi_matrix = None marks them stale
         self._phi_matrix: np.ndarray | None = None
-        self._residual_rhs: np.ndarray | None = None
         self._gram: list[list[float]] = []
         self._phi_rhs: list[float] = []
 
@@ -108,13 +106,6 @@ class HistoryStack:
         if self._phi_matrix is None:
             self._rebuild()
         return self._phi_matrix
-
-    @property
-    def residual_rhs(self) -> np.ndarray:
-        """Per-record xdot_n - u, the recorded value of w* . phi_j."""
-        if self._phi_matrix is None:
-            self._rebuild()
-        return self._residual_rhs
 
     @property
     def gram(self) -> list[list[float]]:
@@ -133,12 +124,12 @@ class HistoryStack:
     def _rebuild(self):
         if self.records:
             self._phi_matrix = np.stack([r.phi for r in self.records], axis=1)
-            self._residual_rhs = np.array([r.xdot_n - r.u for r in self.records])
+            # xdot_n_j - u_j is the recorded value of w* . phi_j
+            residual_rhs = np.array([r.xdot_n - r.u for r in self.records])
             self._gram = (self._phi_matrix @ self._phi_matrix.T).tolist()
-            self._phi_rhs = (self._phi_matrix @ self._residual_rhs).tolist()
+            self._phi_rhs = (self._phi_matrix @ residual_rhs).tolist()
         else:
             self._phi_matrix = np.zeros((0, 0))
-            self._residual_rhs = np.zeros(0)
             self._gram = []
             self._phi_rhs = []
 
@@ -189,12 +180,6 @@ class LearnerState:
 
     gamma_w: float
     stack: HistoryStack
-    active: bool = True
-
-
-def prediction_error(w: np.ndarray, record: Record) -> float:
-    """eps_j = w . phi_j - (xdot_n_j - u_j); zero at the ideal weights."""
-    return float(w @ record.phi) - (record.xdot_n - record.u)
 
 
 def weight_update_derivative(
@@ -204,13 +189,11 @@ def weight_update_derivative(
     e: Sequence[float],
     p: Sequence[Sequence[float]],
 ) -> list[float]:
-    """Time derivative of the weight estimate w; zero when learning is frozen.
+    """Time derivative of the weight estimate w.
 
     The record sum goes through the stack's cached Gram matrix, so its
     cost does not grow with the number of records.
     """
-    if not state.active:
-        return [0.0] * len(w)
     gamma = state.gamma_w
     rate = -gamma * float(dot(p[-1], e))
     stack = state.stack

@@ -41,7 +41,6 @@ class ControllerConfig:
     rho: float = 0.01
     q: np.ndarray | None = None
     r: float = 0.01
-    gp_enabled: bool = False
     rob_enabled: bool = True
     m_auto: bool = False
 
@@ -54,6 +53,9 @@ class ControllerConfig:
             self.q = np.eye(gains.size)
         else:
             self.q = np.asarray(self.q, dtype=float)
+            n = gains.size
+            if self.q.shape != (n, n):
+                raise ValueError(f"Q must be {n}x{n} to match the gains, got shape {self.q.shape}")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.m < 0 or self.r < 0:

@@ -107,19 +107,11 @@ def _scaled_sqdist(a: np.ndarray, b: np.ndarray, length_scale: np.ndarray) -> np
     return np.maximum(d2, 0.0)
 
 
-def kernel(a: np.ndarray, b: np.ndarray, hyper: Hyperparams) -> float:
-    """Squared-exponential covariance of two input vectors."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError("kernel inputs must have equal dimension")
-    z = (a - b) / hyper.length_scale
-    return hyper.sigma_f**2 * math.exp(-0.5 * float(z @ z))
-
-
 def kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: Hyperparams) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.shape[1] != b.shape[1]:
+        raise ValueError("kernel inputs must have equal dimension")
     return hyper.sigma_f**2 * np.exp(-0.5 * _scaled_sqdist(a, b, hyper.length_scale))
 
 
@@ -219,7 +211,6 @@ class GpModel:
         self.seed = seed
         self._inputs: list[np.ndarray] = []
         self._targets: list[float] = []
-        self.needs_refit = False
         # snapshot frozen at the last fit
         self._snap_x: np.ndarray | None = None
         self._snap_chol: np.ndarray | None = None
@@ -259,7 +250,6 @@ class GpModel:
         if len(self._targets) > self.window:
             self._inputs.pop(0)
             self._targets.pop(0)
-        self.needs_refit = True
 
     def _clamp(self, theta: np.ndarray) -> np.ndarray:
         lo = np.full(theta.shape, -LOG_BOUND)
@@ -337,20 +327,18 @@ class GpModel:
             points.append(theta)
         return points
 
-    def _rebuild_snapshot(self, x: np.ndarray, y: np.ndarray):
+    def refresh(self) -> "GpModel":
+        """Rebuild the prediction snapshot on the current window at the
+        incumbent hyperparameters."""
+        if not self._targets:
+            raise ValueError("refresh requires at least 1 training point")
+        x = np.array(self._inputs)
         ky, _ = _gram(x, self.hyper)
         chol = np.linalg.cholesky(ky)
         self._snap_x = x
         self._snap_chol = chol
-        self._snap_alpha = cho_solve((chol, True), y)
+        self._snap_alpha = cho_solve((chol, True), np.array(self._targets))
         self._snap_hyper = self.hyper
-        self.needs_refit = False
-
-    def refresh(self) -> "GpModel":
-        """Rebuild the prediction snapshot at the incumbent hyperparameters."""
-        if not self._targets:
-            raise ValueError("refresh requires at least 1 training point")
-        self._rebuild_snapshot(np.array(self._inputs), np.array(self._targets))
         return self
 
     def fit(self) -> "GpModel":
@@ -376,8 +364,7 @@ class GpModel:
             raise AllStartsFailedError("no optimizer start produced a usable kernel matrix")
 
         self.hyper = Hyperparams.from_log_vector(best[1])
-        self._rebuild_snapshot(x, y)
-        return self
+        return self.refresh()
 
     def predict(self, x_star: np.ndarray) -> tuple[float, float]:
         """Posterior mean and variance at a query state.

@@ -14,14 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteDerivativeError, NotHurwitzError, NotPositiveDefiniteError
+from .errors import NonFiniteDerivativeError, NotHurwitzError
 
 SYMMETRY_RTOL = 1e-9
-
-
-def default_jitter(m: np.ndarray) -> float:
-    """Diagonal regularization used for kernel matrices: 1e-8 x mean diagonal."""
-    return 1e-8 * float(np.mean(np.diag(m)))
 
 
 def _require_square_symmetric(m: np.ndarray, what: str) -> np.ndarray:
@@ -34,22 +29,6 @@ def _require_square_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     if np.max(np.abs(m - m.T)) > SYMMETRY_RTOL * scale:
         raise ValueError(f"{what} is not symmetric to relative tolerance {SYMMETRY_RTOL}")
     return m
-
-
-def cholesky(m: np.ndarray, jitter: float = 0.0) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T = m + jitter * I.
-
-    Raises NotPositiveDefiniteError if the shifted matrix still has a
-    non-positive pivot, which signals a degenerate kernel/weighting matrix.
-    """
-    m = _require_square_symmetric(m, "cholesky input")
-    shifted = m + jitter * np.eye(m.shape[0])
-    try:
-        return np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (jitter={jitter:g})"
-        ) from exc
 
 
 def solve_lyapunov(a_cl: np.ndarray, s: np.ndarray) -> np.ndarray:

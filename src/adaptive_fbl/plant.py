@@ -99,7 +99,7 @@ def plant_step(
     """State derivative under control input u, and the disturbance in it.
 
     phi is eval_regressor(plant, x). This is the one definition of the
-    chain dynamics; the simulator and plant_derivative both go through it.
+    chain dynamics.
     """
     d = plant.disturbance(t, x)
     if not math.isfinite(d):
@@ -107,17 +107,6 @@ def plant_step(
     xdot = list(x[1:])
     xdot.append(dot(plant._weights, phi) + u + d)
     return xdot, d
-
-
-def plant_derivative(plant: Plant, t: float, x: Sequence[float], u: float) -> list[float]:
-    """Time derivative of the state under control input u."""
-    return plant_step(plant, t, x, eval_regressor(plant, x), u)[0]
-
-
-def eval_reference(ref: ReferenceModel, t: float) -> tuple[np.ndarray, float]:
-    """Reference state and the derivative of its last component at time t."""
-    x_ref, xdot_n_ref = ref.trajectory(t)
-    return np.asarray(x_ref, dtype=float), float(xdot_n_ref)
 
 
 def _benchmark_regressor(x: Sequence[float]) -> tuple[float, float, float]:

@@ -80,7 +80,6 @@ class Scenario:
     cl_enabled: bool
     gp_enabled: bool
     disturbed: bool
-    rob_enabled: bool = True
     duration: float = 30.0
     h: float = 1e-3
     t1: float = 10.0
@@ -136,26 +135,31 @@ class Trace:
     def n_rows(self) -> int:
         return self.t.size
 
-    def column_names(self) -> list[str]:
+    def named_columns(self) -> list[tuple[str, np.ndarray]]:
+        """(name, column) pairs in the CSV column order."""
         n = self.x.shape[1]
         m = self.w.shape[1]
-        names = ["t"]
-        names += [f"x{i + 1}" for i in range(n)]
-        names += [f"x{i + 1}_ref" for i in range(n)]
-        names += [f"e{i + 1}" for i in range(n)]
-        names += ["u_total", "u_fbl", "u_sfb", "u_ref", "u_gp", "u_rob"]
-        names += [f"w{i + 1}" for i in range(m)]
-        names += ["gp_mean", "gp_var", "d_true", "V", "Vdot", "stage"]
-        return names
-
-    def columns(self) -> list[np.ndarray]:
-        cols: list[np.ndarray] = [self.t]
-        cols += [self.x[:, i] for i in range(self.x.shape[1])]
-        cols += [self.x_ref[:, i] for i in range(self.x_ref.shape[1])]
-        cols += [self.e[:, i] for i in range(self.e.shape[1])]
-        cols += [self.u_total, self.u_fbl, self.u_sfb, self.u_ref, self.u_gp, self.u_rob]
-        cols += [self.w[:, i] for i in range(self.w.shape[1])]
-        cols += [self.gp_mean, self.gp_var, self.d_true, self.v, self.vdot, self.stage]
+        cols = [("t", self.t)]
+        cols += [(f"x{i + 1}", self.x[:, i]) for i in range(n)]
+        cols += [(f"x{i + 1}_ref", self.x_ref[:, i]) for i in range(n)]
+        cols += [(f"e{i + 1}", self.e[:, i]) for i in range(n)]
+        cols += [
+            ("u_total", self.u_total),
+            ("u_fbl", self.u_fbl),
+            ("u_sfb", self.u_sfb),
+            ("u_ref", self.u_ref),
+            ("u_gp", self.u_gp),
+            ("u_rob", self.u_rob),
+        ]
+        cols += [(f"w{i + 1}", self.w[:, i]) for i in range(m)]
+        cols += [
+            ("gp_mean", self.gp_mean),
+            ("gp_var", self.gp_var),
+            ("d_true", self.d_true),
+            ("V", self.v),
+            ("Vdot", self.vdot),
+            ("stage", self.stage),
+        ]
         return cols
 
 
@@ -209,28 +213,16 @@ def lyapunov_monitor(
     e: Sequence[float],
     bracket: float,
     u_rob: float,
-    m: float,
-    rho: float,
-) -> tuple[float, float, bool]:
-    """Quadratic-form value, its analytic rate, and the gain condition.
+) -> tuple[float, float]:
+    """Quadratic-form value and its analytic rate.
 
     bracket is the measured residual forcing (model error minus disturbance
-    plus GP compensation); condition_ok means the robustness gain dominates
-    it, which is when the rate is guaranteed negative outside |s| <= rho.
+    plus GP compensation).
     """
     v = float(quad_form(p, e))
     s = sliding_variable(p, e)
     vdot = -float(quad_form(s_tilde, e)) + 2.0 * s * (bracket + u_rob)
-    return v, vdot, m > abs(bracket)
-
-
-def _validate(scenario: Scenario, cfg: ControllerConfig, learner: LearnerConfig):
-    if cfg.gp_enabled != scenario.gp_enabled:
-        raise ValueError("controller gp_enabled contradicts the scenario")
-    if cfg.rob_enabled != scenario.rob_enabled:
-        raise ValueError("controller rob_enabled contradicts the scenario")
-    if learner.cl_enabled != scenario.cl_enabled:
-        raise ValueError("learner cl_enabled contradicts the scenario")
+    return v, vdot
 
 
 def run_case(
@@ -257,12 +249,11 @@ def run_case(
     if derivative_mode not in ("exact", "fd"):
         raise ValueError("derivative_mode must be 'exact' or 'fd'")
     if cfg is None:
-        cfg = ControllerConfig(gp_enabled=scenario.gp_enabled, rob_enabled=scenario.rob_enabled)
+        cfg = ControllerConfig()
     if learner is None:
-        learner = LearnerConfig(cl_enabled=scenario.cl_enabled)
+        learner = LearnerConfig()
     if gp_cfg is None:
         gp_cfg = GpConfig()
-    _validate(scenario, cfg, learner)
 
     if plant is None:
         plant = benchmark_plant(disturbed=scenario.disturbed)
@@ -270,6 +261,8 @@ def run_case(
         reference = sine_reference(amplitude=ref_amplitude)
 
     n = plant.order
+    if cfg.order != n:
+        raise ValueError(f"controller has {cfg.order} gains, plant has order {n}")
     m_dim = plant.ideal_weights.size
     w0 = scenario.w0 if scenario.w0 is not None else INITIAL_WEIGHT_ESTIMATE
     if w0.shape != (m_dim,):
@@ -291,7 +284,7 @@ def run_case(
     target_sign = -1.0 if gp_cfg.paper_literal_sign else 1.0
 
     stack = HistoryStack(learner.stack_capacity)
-    lstate = LearnerState(gamma_w=learner.gamma_w, stack=stack, active=scenario.cl_enabled)
+    lstate = LearnerState(gamma_w=learner.gamma_w, stack=stack)
     model = GpModel.from_config(gp_cfg, seed=seed) if scenario.gp_enabled and not oracle_gp else None
 
     rows = n_steps + 1
@@ -382,7 +375,7 @@ def run_case(
             xdot_n_meas = xdot[-1]
         # -u_fbl is w . phi
         bracket = -bd.u_fbl + bd.u_total + bd.u_gp - xdot_n_meas
-        v_val, vdot_val, _ = lyapunov_monitor(p_rows, s_rows, e, bracket, bd.u_rob, m_value, cfg.rho)
+        v_val, vdot_val = lyapunov_monitor(p_rows, s_rows, e, bracket, bd.u_rob)
 
         tr.t[i] = t
         tr.x[i] = x

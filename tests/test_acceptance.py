@@ -197,7 +197,7 @@ def test_c08_likelihood_gradient():
 
 
 def test_c09_linear_closed_loop_equivalence():
-    scn = scenario_for_case("a", duration=5.0, rob_enabled=False, w0=W_STAR.copy())
+    scn = scenario_for_case("a", duration=5.0, w0=W_STAR.copy())
     cfg = ControllerConfig(gains=np.array([20.0, 20.0]), rob_enabled=False)
     trace, _ = run_case(scn, cfg=cfg)
     a, b = integrator_chain(2)
@@ -215,7 +215,7 @@ def test_c09_linear_closed_loop_equivalence():
 
 def test_c10_stability_monitor(case_runs):
     tr = case_runs["e"][0]
-    cfg = ControllerConfig(gains=np.array([20.0, 20.0]), gp_enabled=True)
+    cfg = ControllerConfig(gains=np.array([20.0, 20.0]))
     p = compute_P(cfg)
     phi = benchmark_phi(tr.x)
     bracket = np.einsum("ij,ij->i", tr.w - W_STAR, phi) - tr.d_true + tr.u_gp

@@ -6,7 +6,6 @@ from adaptive_fbl.cli import (
     RunConfig,
     emit_report,
     emit_trace,
-    load_trace_csv,
     main,
     parse_config,
 )
@@ -14,6 +13,17 @@ from adaptive_fbl.errors import ConfigParseError, OutOfRangeError, UnknownKeyErr
 from adaptive_fbl.simulator import Metrics, Trace
 
 W_STAR = np.array([1.0, -1.0, 0.5])
+
+
+def load_trace_csv(path) -> dict[str, np.ndarray]:
+    """Read an emitted trace back as a mapping of column name -> array."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        data = [[] for _ in header]
+        for line in fh:
+            for cell, col in zip(line.strip().split(","), data):
+                col.append(float(cell))
+    return {name: np.array(col) for name, col in zip(header, data)}
 
 
 def tiny_trace(n_rows=3):
@@ -150,7 +160,7 @@ class TestEmitTrace:
         tr = tiny_trace(5)
         emit_trace(tr, path)
         loaded = load_trace_csv(path)
-        for name, col in zip(tr.column_names(), tr.columns()):
+        for name, col in tr.named_columns():
             np.testing.assert_array_equal(loaded[name], col.astype(float), err_msg=name)
 
 
@@ -163,9 +173,9 @@ class TestEmitTrace:
         path = tmp_path / "t.csv"
         emit_trace(tr, path)
 
-        cols = tr.columns()
+        names, cols = zip(*tr.named_columns())
         stage_col = len(cols) - 1
-        lines = [",".join(tr.column_names())]
+        lines = [",".join(names)]
         for i in range(tr.n_rows):
             lines.append(",".join(
                 str(int(col[i])) if j == stage_col else repr(float(col[i]))
@@ -239,6 +249,22 @@ class TestMain:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("gamma_w = -3\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "gains = [20, 20, 20]",  # three gains on the order-2 plant
+            "Q = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]",  # 3x3 Q with two gains
+            "cases = a,e\ngp_enabled = false",  # case e defines gp_enabled = true
+        ],
+    )
+    def test_inconsistent_config_exits_2_before_any_case(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"cases = a\nh = 0.01\n{text}\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_exits_2(self, tmp_path):
         cfg = tmp_path / "neg.cfg"

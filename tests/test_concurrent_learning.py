@@ -6,7 +6,6 @@ from adaptive_fbl.concurrent_learning import (
     LearnerConfig,
     LearnerState,
     Record,
-    prediction_error,
     stack_sigma_min,
     weight_update_derivative,
 )
@@ -23,26 +22,53 @@ def record_from_truth(phi, u, w_star=W_STAR):
     return Record(phi, xdot_n, u)
 
 
+def stack_of(records):
+    stack = HistoryStack(len(records))
+    for rec in records:
+        stack.try_record(rec.phi, rec.xdot_n, rec.u)
+    return stack
+
+
+def record_sum(stack, w):
+    """sum_j phi_j eps_j from the cached Gram matrix: gram . w - phi_rhs."""
+    return np.array(stack.gram) @ w - np.array(stack.phi_rhs)
+
+
+def direct_record_sum(stack, w):
+    """sum_j phi_j eps_j with eps_j = w . phi_j - (xdot_n_j - u_j), record by record."""
+    return sum(rec.phi * (float(w @ rec.phi) - (rec.xdot_n - rec.u)) for rec in stack.records)
+
+
 class TestPredictionError:
     def test_ideal_weights_give_zero(self):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            rec = record_from_truth(rng.uniform(-1, 1, 3), rng.uniform(-2, 2))
-            assert abs(prediction_error(W_STAR, rec)) <= 1e-12
+        stack = stack_of(
+            [record_from_truth(rng.uniform(-1, 1, 3), rng.uniform(-2, 2)) for _ in range(10)]
+        )
+        np.testing.assert_allclose(record_sum(stack, W_STAR), np.zeros(3), atol=1e-12)
 
     def test_mismatched_estimate_at_origin(self):
         rec = record_from_truth([0.0, 0.0, 1.0], u=1.0)
         assert rec.xdot_n == 1.5
-        err = prediction_error(np.array([0.5, -1.3, 0.75]), rec)
-        assert abs(err - 0.25) <= 1e-12
+        # eps = 0.25, carried along phi = [0, 0, 1]
+        w = np.array([0.5, -1.3, 0.75])
+        np.testing.assert_allclose(record_sum(stack_of([rec]), w), [0.0, 0.0, 0.25], atol=1e-12)
 
     def test_linear_in_weight_error(self):
         rng = np.random.default_rng(1)
-        rec = record_from_truth(rng.uniform(-1, 1, 3), 0.3)
+        stack = stack_of([record_from_truth(rng.uniform(-1, 1, 3), 0.3) for _ in range(4)])
         delta = rng.uniform(-1, 1, 3)
-        e1 = prediction_error(W_STAR + delta, rec)
-        e2 = prediction_error(W_STAR + 2.0 * delta, rec)
-        assert abs(e2 - 2.0 * e1) <= 1e-12
+        e1 = record_sum(stack, W_STAR + delta)
+        e2 = record_sum(stack, W_STAR + 2.0 * delta)
+        np.testing.assert_allclose(e2, 2.0 * e1, atol=1e-12)
+
+    def test_cached_sum_matches_record_by_record(self):
+        rng = np.random.default_rng(3)
+        stack = HistoryStack(6)
+        for _ in range(40):
+            stack.try_record(rng.uniform(-1, 1, 3), rng.uniform(-1, 1), rng.uniform(-1, 1))
+            w = rng.uniform(-2, 2, 3)
+            np.testing.assert_allclose(record_sum(stack, w), direct_record_sum(stack, w), atol=1e-12)
 
 
 class TestWeightUpdateDerivative:
@@ -66,17 +92,10 @@ class TestWeightUpdateDerivative:
         # eps_j = w.phi - (xdot - u) = 0.25 for this record and estimate
         stack.try_record(np.array([1.0, 0.0, 0.0]), xdot_n=0.75, u=0.0)
         w = np.array([1.0, 0.0, 0.0])
-        assert abs(prediction_error(w, stack.records[0]) - 0.25) <= 1e-15
         state = LearnerState(3.0, stack)
         wdot = weight_update_derivative(state, w, np.zeros(3), np.zeros(2), P_BENCH)
         np.testing.assert_allclose(wdot, [-0.75, 0.0, 0.0], atol=1e-15)
 
-    def test_frozen_state_returns_zero(self):
-        stack = HistoryStack(5)
-        stack.try_record(np.array([1.0, 0.0, 0.0]), 0.75, 0.0)
-        state = LearnerState(3.0, stack, active=False)
-        wdot = weight_update_derivative(state, np.zeros(3), np.ones(3), np.ones(2), P_BENCH)
-        np.testing.assert_array_equal(wdot, np.zeros(3))
 
 
 class TestHistoryStack:
@@ -202,7 +221,6 @@ class TestExponentialConvergence:
         for j, rec in enumerate(list(stack.records)):
             stack.records[j] = record_from_truth(rec.phi, u=0.0)
         stack._phi_matrix = None
-        stack._residual_rhs = None
 
         gamma = 3.0
         gram = stack.phi_matrix @ stack.phi_matrix.T

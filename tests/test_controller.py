@@ -88,21 +88,20 @@ class TestComputeControl:
         assert abs(bd.u_total - 10.5) <= 1e-12
 
     def test_gp_term_is_linear(self):
-        cfg_off = benchmark_cfg()
-        cfg_on = benchmark_cfg(gp_enabled=True)
-        p = compute_P(cfg_off)
+        cfg = benchmark_cfg()
+        p = compute_P(cfg)
         rng = np.random.default_rng(2)
         for _ in range(20):
             w = rng.standard_normal(3)
             phi = rng.standard_normal(3)
             e = rng.standard_normal(2)
             g = rng.standard_normal()
-            base = compute_control(cfg_off, p, w, phi, e, 0.3, gp_mean=0.0)
-            comp = compute_control(cfg_on, p, w, phi, e, 0.3, gp_mean=g)
+            base = compute_control(cfg, p, w, phi, e, 0.3, gp_mean=0.0)
+            comp = compute_control(cfg, p, w, phi, e, 0.3, gp_mean=g)
             assert abs((comp.u_total - base.u_total) - (-g)) <= 1e-12
 
     def test_breakdown_identity_exact(self):
-        cfg = benchmark_cfg(gp_enabled=True)
+        cfg = benchmark_cfg()
         p = compute_P(cfg)
         rng = np.random.default_rng(9)
         for _ in range(200):
@@ -143,3 +142,7 @@ class TestConfigValidation:
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             ControllerConfig(gains=np.array([20.0, 20.0]), m=-0.1)
+
+    def test_q_must_match_gains(self):
+        with pytest.raises(ValueError, match="Q must be 2x2"):
+            ControllerConfig(gains=np.array([20.0, 20.0]), q=np.eye(3))

@@ -9,7 +9,6 @@ from adaptive_fbl.gp import (
     GpConfig,
     GpModel,
     Hyperparams,
-    kernel,
     kernel_matrix,
     log_marginal_likelihood,
     training_target,
@@ -41,6 +40,13 @@ def sample_gp_data(rng, hyper, n, low=-4.0, high=4.0):
     return x, y
 
 
+def kernel(a, b, hyper):
+    """Covariance of two input vectors, through kernel_matrix on one-row inputs."""
+    k = kernel_matrix(a, b, hyper)
+    assert k.shape == (1, 1)
+    return float(k[0, 0])
+
+
 class TestKernel:
     def test_zero_distance_gives_signal_variance(self):
         h = Hyperparams(sigma_f=2.0, length_scale=1.0, sigma_n=0.0)
@@ -63,7 +69,7 @@ class TestKernel:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kernel(np.zeros(2), np.zeros(3), Hyperparams())
+            kernel_matrix(np.zeros(2), np.zeros(3), Hyperparams())
 
 
 class TestPredict:
@@ -260,10 +266,8 @@ class TestObserve:
         q = np.array([0.4, 0.1])
         before = model.predict(q)
         model.observe(np.array([0.5, 0.0]), 0.3)
-        assert model.needs_refit
         assert model.predict(q) == before  # stale-but-consistent snapshot
         model.refresh()
-        assert not model.needs_refit
         assert model.predict(q) != before
 
 

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from adaptive_fbl.errors import (
-    NonFiniteDerivativeError,
-    NotHurwitzError,
-    NotPositiveDefiniteError,
-)
-from adaptive_fbl.numerics import cholesky, rk4_step, solve_lyapunov
+from adaptive_fbl.errors import NonFiniteDerivativeError, NotHurwitzError
+from adaptive_fbl.numerics import rk4_step, solve_lyapunov
 
 
 def random_spd(rng, n):
@@ -18,37 +14,6 @@ def random_hurwitz(rng, n):
     a = rng.standard_normal((n, n))
     shift = np.max(np.linalg.eigvals(a).real)
     return a - (shift + 0.5 + rng.uniform(0.0, 2.0)) * np.eye(n)
-
-
-class TestCholesky:
-    def test_identity(self):
-        np.testing.assert_array_equal(cholesky(np.eye(2), jitter=0.0), np.eye(2))
-
-    def test_hand_checkable_2x2(self):
-        lower = cholesky(np.array([[4.0, 2.0], [2.0, 5.0]]), jitter=0.0)
-        np.testing.assert_allclose(lower, [[2.0, 0.0], [1.0, 2.0]], rtol=1e-14)
-
-    def test_reconstruction_random_spd(self):
-        rng = np.random.default_rng(7)
-        m = random_spd(rng, 10)
-        lower = cholesky(m, jitter=0.0)
-        err = np.linalg.norm(lower @ lower.T - m) / np.linalg.norm(m)
-        assert err <= 1e-10
-
-    def test_jitter_shifts_diagonal(self):
-        rng = np.random.default_rng(8)
-        m = random_spd(rng, 4)
-        jitter = 0.5
-        lower = cholesky(m, jitter=jitter)
-        np.testing.assert_allclose(lower @ lower.T, m + jitter * np.eye(4), rtol=1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), jitter=0.0)
 
 
 class TestSolveLyapunov:
@@ -93,6 +58,10 @@ class TestSolveLyapunov:
     def test_s_must_be_positive_definite(self):
         with pytest.raises(ValueError):
             solve_lyapunov(np.array([[-1.0]]), np.array([[-2.0]]))
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            solve_lyapunov(-np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestRk4:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adaptive_fbl import simulator
+from adaptive_fbl.concurrent_learning import LearnerConfig
 from adaptive_fbl.controller import ControllerConfig, compute_P
 from adaptive_fbl.errors import StateEscapeError
 from adaptive_fbl.plant import Plant, integrator_chain
@@ -44,10 +45,31 @@ class TestScenario:
             scenario_for_case("f")
 
     def test_flag_contradiction_rejected(self):
-        scn = scenario_for_case("e", duration=1.0)
-        cfg = ControllerConfig(gains=np.array([20.0, 20.0]), gp_enabled=False)
-        with pytest.raises(ValueError):
-            run_case(scn, cfg=cfg)
+        """The case flags live on the scenario alone, and the robustness
+        switch on the controller alone, so no second copy can contradict
+        them."""
+        with pytest.raises(TypeError):
+            ControllerConfig(gp_enabled=False)
+        with pytest.raises(TypeError):
+            LearnerConfig(cl_enabled=False)
+        with pytest.raises(TypeError):
+            scenario_for_case("a", rob_enabled=False)
+
+    def test_controller_order_must_match_plant(self, monkeypatch):
+        """Three gains on the order-2 plant fail before the control law is
+        ever evaluated, instead of running on a truncated dot product."""
+        calls = Counter()
+        original = simulator.compute_control
+
+        def counted(*args, **kwargs):
+            calls["compute_control"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "compute_control", counted)
+        cfg = ControllerConfig(gains=(20.0, 20.0, 20.0))
+        with pytest.raises(ValueError, match="3 gains, plant has order 2"):
+            run_case(scenario_for_case("a", duration=1.0), cfg=cfg)
+        assert calls["compute_control"] == 0
 
 
 class TestTraceContracts:
@@ -60,8 +82,7 @@ class TestTraceContracts:
 
     def test_quadratic_form_column_consistent(self, case_runs):
         tr = case_trace(case_runs, "e")
-        cfg = ControllerConfig(gains=np.array([20.0, 20.0]), gp_enabled=True)
-        p = compute_P(cfg)
+        p = compute_P(ControllerConfig(gains=np.array([20.0, 20.0])))
         v = np.einsum("ij,jk,ik->i", tr.e, p, tr.e)
         assert np.max(np.abs(v - tr.v)) <= 1e-12
 
@@ -139,7 +160,7 @@ def linear_loop_error(duration, h=1e-3):
     """Max |e_sim - e_analytic| on the linear closed loop: ideal weights,
     no disturbance, and no extra terms, so the tracking error follows the
     pure linear error system."""
-    scn = scenario_for_case("a", duration=duration, h=h, rob_enabled=False, w0=W_STAR.copy())
+    scn = scenario_for_case("a", duration=duration, h=h, w0=W_STAR.copy())
     cfg = ControllerConfig(gains=np.array([20.0, 20.0]), rob_enabled=False)
     trace, _ = run_case(scn, cfg=cfg)
     a, b = integrator_chain(2)
@@ -259,13 +280,11 @@ class TestLyapunovMonitor:
     def test_zero_error(self):
         p = np.array([[1.025, 0.025], [0.025, 0.02625]])
         s = np.eye(2)
-        v, vdot, ok = lyapunov_monitor(p, s, np.zeros(2), 0.0, 0.0, 1.0, 0.01)
-        assert v == 0.0 and vdot == 0.0 and ok
+        v, vdot = lyapunov_monitor(p, s, np.zeros(2), 0.0, 0.0)
+        assert v == 0.0 and vdot == 0.0
 
     def test_scalar_quadratic_form(self):
-        v, _, _ = lyapunov_monitor(
-            np.array([[0.5]]), np.array([[1.0]]), np.array([2.0]), 0.0, 0.0, 1.0, 0.01
-        )
+        v, _ = lyapunov_monitor(np.array([[0.5]]), np.array([[1.0]]), np.array([2.0]), 0.0, 0.0)
         assert v == 2.0
 
     def test_negative_rate_when_gain_dominates(self, case_runs):
@@ -273,7 +292,7 @@ class TestLyapunovMonitor:
         the sliding variable is outside the boundary layer, the
         quadratic-form rate must be negative."""
         tr = case_trace(case_runs, "e")
-        cfg = ControllerConfig(gains=np.array([20.0, 20.0]), gp_enabled=True)
+        cfg = ControllerConfig(gains=np.array([20.0, 20.0]))
         p = compute_P(cfg)
         phi = benchmark_phi(tr.x)
         bracket = np.einsum("ij,ij->i", tr.w - W_STAR, phi) - tr.d_true + tr.u_gp
@@ -301,7 +320,7 @@ class TestDeterminism:
         scn = scenario_for_case("c", duration=3.0)
         tr1, _ = run_case(scn, seed=7)
         tr2, _ = run_case(scn, seed=7)
-        for name, col1, col2 in zip(tr1.column_names(), tr1.columns(), tr2.columns()):
+        for (name, col1), (_, col2) in zip(tr1.named_columns(), tr2.named_columns()):
             assert np.array_equal(col1, col2), name
 
 
