@@ -366,27 +366,30 @@ class GpModel:
         self.hyper = Hyperparams.from_log_vector(best[1])
         return self.refresh()
 
+    def _k_star(self, x_star: np.ndarray) -> np.ndarray:
+        """Covariances between the snapshot inputs and one query state.
+
+        Built from direct differences, so predict and predict_mean share
+        one k* to the last bit.
+        """
+        if not self.fitted:
+            raise UnfittedModelError("model has no fitted snapshot")
+        hyper = self._snap_hyper
+        z = (self._snap_x - np.asarray(x_star, dtype=float)) / hyper.length_scale
+        return hyper.sigma_f**2 * np.exp(-0.5 * np.einsum("ij,ij->i", z, z))
+
     def predict(self, x_star: np.ndarray) -> tuple[float, float]:
         """Posterior mean and variance at a query state.
 
         Uses the snapshot from the last fit; raises UnfittedModelError if
         the model was never fitted (callers substitute the zero prior mean).
         """
-        if not self.fitted:
-            raise UnfittedModelError("model has no fitted snapshot")
-        x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-        hyper = self._snap_hyper
-        k_star = kernel_matrix(self._snap_x, x_star[None, :], hyper)[:, 0]
+        k_star = self._k_star(x_star)
         mean = float(k_star @ self._snap_alpha)
         v = solve_triangular(self._snap_chol, k_star, lower=True)
-        var = hyper.sigma_f**2 - float(v @ v)
+        var = self._snap_hyper.sigma_f**2 - float(v @ v)
         return mean, max(var, 0.0)
 
     def predict_mean(self, x_star: np.ndarray) -> float:
         """Posterior mean only; the hot path inside integration stages."""
-        if not self.fitted:
-            raise UnfittedModelError("model has no fitted snapshot")
-        hyper = self._snap_hyper
-        z = (self._snap_x - x_star) / hyper.length_scale
-        k_star = hyper.sigma_f**2 * np.exp(-0.5 * np.einsum("ij,ij->i", z, z))
-        return float(k_star @ self._snap_alpha)
+        return float(self._k_star(x_star) @ self._snap_alpha)

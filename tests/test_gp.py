@@ -103,6 +103,21 @@ class TestPredict:
             assert abs(var - max(var_oracle, 0.0)) <= 1e-8
             assert abs(model.predict_mean(q) - mean_oracle) <= 1e-8
 
+    def test_mean_identical_to_predict_mean(self):
+        """Rows (predict) and integrator stages (predict_mean) see the same
+        posterior mean to the last bit, even on an ill-conditioned window
+        whose noise scale sits at its floor."""
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1, 1, size=(100, 2))
+        y = np.sin(2 * x[:, 0]) * np.cos(x[:, 1])
+        model = GpModel(window=100, starts=2, seed=0, sigma_n_floor=1e-4)
+        for xi, yi in zip(x, y):
+            model.observe(xi, yi)
+        model.fit()
+        assert model.hyper.sigma_n == pytest.approx(1e-4)
+        for q in rng.uniform(-1.2, 1.2, size=(2000, 2)).tolist():
+            assert model.predict(q)[0] == model.predict_mean(q)
+
     def test_variance_nonnegative_and_zero_at_training_points(self):
         rng = np.random.default_rng(13)
         h = Hyperparams(sigma_f=1.0, length_scale=0.7, sigma_n=0.0)
