@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .concurrent_learning import LearnerConfig
-from .controller import ControllerConfig
-from .errors import ConfigError, ConfigParseError, OutOfRangeError, UnknownKeyError
+from .controller import ControllerConfig, compute_P
+from .errors import ConfigError, ConfigParseError, NotHurwitzError, OutOfRangeError, UnknownKeyError
 from .gp import GpConfig
 from .plant import BENCHMARK_NAME, PLANTS, REFERENCES
 from .simulator import CASE_IDS, Metrics, Scenario, Trace, run_case, scenario_for_case
@@ -79,7 +79,9 @@ class RunConfig:
         return scn
 
     def controller_config(self) -> ControllerConfig:
-        """The control-law settings, checked against the plant's order."""
+        """The control-law settings, checked against the plant's order and
+        solved for P, so gains that are not Hurwitz or a Q the matrix
+        equation rejects are config errors."""
         try:
             ctl = ControllerConfig(
                 gains=np.asarray(self.gains, dtype=float),
@@ -95,6 +97,10 @@ class RunConfig:
         order = PLANTS[self.plant]().order
         if ctl.order != order:
             raise OutOfRangeError(f"gains has {ctl.order} entries, plant {self.plant} has order {order}")
+        try:
+            compute_P(ctl)
+        except (NotHurwitzError, ValueError) as exc:
+            raise OutOfRangeError(str(exc)) from None
         return ctl
 
     def learner_config(self) -> LearnerConfig:

@@ -22,12 +22,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
-from .errors import AllStartsFailedError, NotPositiveDefiniteError, UnfittedModelError
+from .errors import (
+    AllStartsFailedError,
+    NonFiniteValueError,
+    NotPositiveDefiniteError,
+    UnfittedModelError,
+)
 from .numerics import dot
 
 JITTER_REL = 1e-8
@@ -95,71 +101,76 @@ class GpConfig:
             raise ValueError("sigma_n_floor must be positive")
 
 
-def _scaled_sqdist(a: np.ndarray, b: np.ndarray, length_scale: np.ndarray) -> np.ndarray:
-    """Pairwise squared distance after dividing each dimension by its scale."""
-    sa = a / length_scale
-    sb = b / length_scale
-    d2 = (
-        np.sum(sa**2, axis=1)[:, None]
-        + np.sum(sb**2, axis=1)[None, :]
-        - 2.0 * (sa @ sb.T)
-    )
-    return np.maximum(d2, 0.0)
+class _Evaluation(NamedTuple):
+    """The likelihood at one set of hyperparameters, with the pieces its
+    gradient and the prediction snapshot reuse."""
+
+    value: float
+    r2: np.ndarray  # squared distances, each dimension divided by its length scale
+    k: np.ndarray  # noise-free kernel matrix
+    chol: np.ndarray  # lower Cholesky factor of K + (sigma_n^2 + jitter) I
+    alpha: np.ndarray  # (K + (sigma_n^2 + jitter) I)^-1 y
 
 
-def kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: Hyperparams) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    return hyper.sigma_f**2 * np.exp(-0.5 * _scaled_sqdist(a, b, hyper.length_scale))
+class _Likelihood:
+    """Log marginal likelihood of one training window (x, y).
 
+    A fit evaluates the likelihood hundreds of times on the same window,
+    so the pairwise squared differences of the inputs are taken once, per
+    dimension. An evaluation rescales them by 1/l^2, exponentiates, and
+    factors with LAPACK directly. The targets are checked for inf and nan
+    here, once; the factorization does not look at them.
+    """
 
-def _gram(x: np.ndarray, hyper: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
-    """Jittered noisy training matrix K + sigma_n^2 I and the plain K."""
-    k = kernel_matrix(x, x, hyper)
-    jitter = JITTER_REL * (hyper.sigma_f**2 + hyper.sigma_n**2)
-    ky = k + (hyper.sigma_n**2 + jitter) * np.eye(x.shape[0])
-    return ky, k
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteValueError("training targets contain inf or nan")
+        self.y = y
+        cols = x.T
+        diff = cols[:, :, None] - cols[:, None, :]
+        self.sqdiff = diff * diff  # (dim, n, n)
+        self.sqdist = self.sqdiff.sum(axis=0)
 
+    def evaluate(self, hyper: Hyperparams) -> _Evaluation:
+        """Raises NotPositiveDefiniteError if K + (sigma_n^2 + jitter) I
+        fails its factorization or holds inf or nan."""
+        ls = hyper.length_scale
+        if ls.size == 1:
+            r2 = self.sqdist / ls[0] ** 2
+        else:
+            r2 = np.tensordot(ls**-2.0, self.sqdiff, axes=1)
+        sf2, sn2 = hyper.sigma_f**2, hyper.sigma_n**2
+        k = np.exp(-0.5 * r2)
+        k *= sf2
+        ky = k.copy()
+        ky.flat[:: ky.shape[0] + 1] += sn2 + JITTER_REL * (sf2 + sn2)
+        # ky is symmetric, so its transpose is the Fortran-ordered matrix
+        # LAPACK factors in place
+        chol, info = dpotrf(ky.T, lower=1, overwrite_a=1)
+        # dpotrf passes inf and nan through to the diagonal instead of failing
+        half_logdet = float(np.sum(np.log(np.diagonal(chol)))) if info == 0 else math.nan
+        if not math.isfinite(half_logdet):
+            raise NotPositiveDefiniteError("kernel matrix is not positive definite")
+        alpha, _ = dpotrs(chol, self.y, lower=1)
+        value = -0.5 * float(self.y @ alpha) - half_logdet - 0.5 * len(self.y) * math.log(2.0 * math.pi)
+        return _Evaluation(value, r2, k, chol, alpha)
 
-class _LmlPieces(tuple):
-    """(value, chol, alpha, k) bundle shared between the likelihood value
-    and its gradient so line searches can skip the gradient work."""
-
-    __slots__ = ()
-
-
-def _lml_value(x: np.ndarray, y: np.ndarray, hyper: Hyperparams) -> _LmlPieces:
-    n = x.shape[0]
-    ky, k = _gram(x, hyper)
-    try:
-        chol = np.linalg.cholesky(ky)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("kernel matrix is not positive definite") from exc
-    alpha = cho_solve((chol, True), y)
-    value = (
-        -0.5 * float(y @ alpha)
-        - float(np.sum(np.log(np.diag(chol))))
-        - 0.5 * n * math.log(2.0 * math.pi)
-    )
-    return _LmlPieces((value, chol, alpha, k))
-
-
-def _lml_gradient(x: np.ndarray, hyper: Hyperparams, pieces: _LmlPieces) -> np.ndarray:
-    _, chol, alpha, k = pieces
-    n = x.shape[0]
-    ky_inv = cho_solve((chol, True), np.eye(n))
-    a = np.outer(alpha, alpha) - ky_inv
-    grads = [float(np.sum(a * k))]  # d/dlog sigma_f contributes 2K, times the 1/2 out front
-    if hyper.length_scale.size == 1:
-        d2 = _scaled_sqdist(x, x, hyper.length_scale)
-        grads.append(0.5 * float(np.sum(a * (k * d2))))
-    else:
-        for i in range(hyper.length_scale.size):
-            col = x[:, i : i + 1] / hyper.length_scale[i]
-            d2_i = (col - col.T) ** 2
-            grads.append(0.5 * float(np.sum(a * (k * d2_i))))
-    grads.append(float(hyper.sigma_n**2 * np.trace(a)))
-    return np.array(grads)
+    def gradient(self, hyper: Hyperparams, ev: _Evaluation) -> np.ndarray:
+        """GPML eq. 5.9 with respect to (log sigma_f, log length_scale...,
+        log sigma_n): 1/2 tr((alpha alpha^T - Ky^-1) dKy/dtheta)."""
+        ky_inv, _ = dpotri(ev.chol, lower=1)  # lower triangle only
+        ky_inv += np.tril(ky_inv, -1).T
+        a = np.outer(ev.alpha, ev.alpha)
+        a -= ky_inv
+        ak = a * ev.k
+        grads = [float(np.sum(ak))]  # d/dlog sigma_f contributes 2K, times the 1/2 out front
+        if hyper.length_scale.size == 1:
+            grads.append(0.5 * float(np.sum(ak * ev.r2)))
+        else:
+            per_dim = np.tensordot(self.sqdiff, ak, axes=2) / hyper.length_scale**2
+            grads.extend((0.5 * per_dim).tolist())
+        grads.append(float(hyper.sigma_n**2 * np.trace(a)))
+        return np.array(grads)
 
 
 def log_marginal_likelihood(
@@ -170,10 +181,9 @@ def log_marginal_likelihood(
     The gradient is taken with respect to the log hyperparameters, ordered
     (log sigma_f, log length_scale..., log sigma_n).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    pieces = _lml_value(x, y, hyper)
-    return pieces[0], _lml_gradient(x, hyper, pieces)
+    lml = _Likelihood(np.atleast_2d(np.asarray(x, dtype=float)), np.asarray(y, dtype=float))
+    ev = lml.evaluate(hyper)
+    return ev.value, lml.gradient(hyper, ev)
 
 
 def training_target(
@@ -254,9 +264,7 @@ class GpModel:
         lo[-1] = math.log(self.sigma_n_floor)  # the noise floor, not the generic bound
         return np.clip(theta, lo, LOG_BOUND)
 
-    def _ascend(
-        self, x: np.ndarray, y: np.ndarray, theta: np.ndarray
-    ) -> tuple[float, np.ndarray] | None:
+    def _ascend(self, lml: _Likelihood, theta: np.ndarray) -> tuple[float, np.ndarray] | None:
         """Backtracking gradient ascent from one start; None if it never
         produced a positive-definite kernel matrix.
 
@@ -267,12 +275,13 @@ class GpModel:
         gradient is computed once per accepted point.
         """
         theta = self._clamp(theta.copy())
+        hyper = Hyperparams.from_log_vector(theta)
         try:
-            pieces = _lml_value(x, y, Hyperparams.from_log_vector(theta))
+            ev = lml.evaluate(hyper)
         except NotPositiveDefiniteError:
             return None
-        value = pieces[0]
-        grad = _lml_gradient(x, Hyperparams.from_log_vector(theta), pieces)
+        value = ev.value
+        grad = lml.gradient(hyper, ev)
         step = 0.5
         for _ in range(self.max_iter):
             gnorm = float(np.linalg.norm(grad))
@@ -284,13 +293,13 @@ class GpModel:
                 cand = self._clamp(theta + step * direction)
                 hyper_cand = Hyperparams.from_log_vector(cand)
                 try:
-                    cand_pieces = _lml_value(x, y, hyper_cand)
+                    ev = lml.evaluate(hyper_cand)
                 except NotPositiveDefiniteError:
                     step *= 0.5
                     continue
-                if cand_pieces[0] > value:
-                    theta, value = cand, cand_pieces[0]
-                    grad = _lml_gradient(x, hyper_cand, cand_pieces)
+                if ev.value > value:
+                    theta, value = cand, ev.value
+                    grad = lml.gradient(hyper_cand, ev)
                     moved = True
                     step = min(2.0 * step, 1.0)
                     break
@@ -299,7 +308,7 @@ class GpModel:
                 break
         return value, theta
 
-    def _start_points(self, x: np.ndarray, y: np.ndarray, n_ls: int) -> list[np.ndarray]:
+    def _start_points(self, lml: _Likelihood, n_ls: int) -> list[np.ndarray]:
         incumbent = self.hyper.log_vector()
         if incumbent.size != n_ls + 2:
             # promote/demote the length-scale block to the requested layout
@@ -307,10 +316,9 @@ class GpModel:
             incumbent = np.concatenate([[incumbent[0]], np.full(n_ls, math.log(ls)), [incumbent[-1]]])
         points = [incumbent]
         rng = np.random.default_rng(self.seed)
-        y_scale = max(float(np.std(y)), 1e-3)
-        if x.shape[0] > 1:
-            diffs = x[:, None, :] - x[None, :, :]
-            dists = np.sqrt(np.sum(diffs**2, axis=-1))
+        y_scale = max(float(np.std(lml.y)), 1e-3)
+        if len(lml.y) > 1:
+            dists = np.sqrt(lml.sqdist)
             d_scale = max(float(np.median(dists[dists > 0])) if np.any(dists > 0) else 1.0, 1e-3)
         else:
             d_scale = 1.0
@@ -325,18 +333,24 @@ class GpModel:
             points.append(theta)
         return points
 
-    def refresh(self) -> "GpModel":
-        """Rebuild the prediction snapshot on the current window at the
-        incumbent hyperparameters."""
+    def refresh(self, hyper: Hyperparams | None = None) -> "GpModel":
+        """Rebuild the prediction snapshot on the current window at hyper
+        (default: the incumbent), which becomes the incumbent.
+
+        Raises NotPositiveDefiniteError, keeping the previous
+        hyperparameters and snapshot, if the training matrix fails its
+        factorization; inf or nan in the inputs make it fail.
+        """
         if not self._targets:
             raise ValueError("refresh requires at least 1 training point")
+        hyper = self.hyper if hyper is None else hyper
         x = np.array(self._inputs)
-        ky, _ = _gram(x, self.hyper)
-        chol = np.linalg.cholesky(ky)
+        ev = _Likelihood(x, np.array(self._targets)).evaluate(hyper)
+        self.hyper = hyper
         self._snap_x = x
-        self._snap_chol = chol
-        self._snap_alpha = cho_solve((chol, True), np.array(self._targets))
-        self._snap_hyper = self.hyper
+        self._snap_chol = ev.chol
+        self._snap_alpha = ev.alpha
+        self._snap_hyper = hyper
         return self
 
     def fit(self) -> "GpModel":
@@ -350,19 +364,17 @@ class GpModel:
         if len(self._targets) < 2:
             raise ValueError("fit requires at least 2 training points")
         x = np.array(self._inputs)
-        y = np.array(self._targets)
+        lml = _Likelihood(x, np.array(self._targets))
         n_ls = x.shape[1] if self.per_dim_lengthscale else 1
 
         best: tuple[float, np.ndarray] | None = None
-        for theta0 in self._start_points(x, y, n_ls):
-            result = self._ascend(x, y, theta0)
+        for theta0 in self._start_points(lml, n_ls):
+            result = self._ascend(lml, theta0)
             if result is not None and (best is None or result[0] > best[0]):
                 best = result
         if best is None:
             raise AllStartsFailedError("no optimizer start produced a usable kernel matrix")
-
-        self.hyper = Hyperparams.from_log_vector(best[1])
-        return self.refresh()
+        return self.refresh(Hyperparams.from_log_vector(best[1]))
 
     def _k_star(self, x_star: np.ndarray) -> np.ndarray:
         """Covariances between the snapshot inputs and one query state.

@@ -266,6 +266,21 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "gains = [-1, -1]",  # closed-loop poles in the right half-plane
+            "Q = [[1, 2], [0, 1]]",  # not symmetric
+        ],
+    )
+    def test_unsolvable_matrix_equation_exits_2_before_any_case(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"cases = a\nh = 0.01\n{text}\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, tmp_path):
         cfg = tmp_path / "neg.cfg"
         cfg.write_text("cases = a\nseed = -1\n")

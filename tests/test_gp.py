@@ -3,18 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from adaptive_fbl.errors import UnfittedModelError
+from adaptive_fbl.errors import (
+    AllStartsFailedError,
+    NonFiniteValueError,
+    NotPositiveDefiniteError,
+    UnfittedModelError,
+)
 from adaptive_fbl.gp import (
     JITTER_REL,
     GpConfig,
     GpModel,
     Hyperparams,
-    kernel_matrix,
     log_marginal_likelihood,
     training_target,
 )
 
 W_STAR = np.array([1.0, -1.0, 0.5])
+
+
+def kernel_matrix(a, b, hyper):
+    """Oracle squared-exponential covariances from direct differences."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    z = (a[:, None, :] - b[None, :, :]) / hyper.length_scale
+    return hyper.sigma_f**2 * np.exp(-0.5 * np.sum(z * z, axis=-1))
 
 
 def noisy_gram(x, hyper):
@@ -23,6 +35,28 @@ def noisy_gram(x, hyper):
     k = kernel_matrix(x, x, hyper)
     jitter = JITTER_REL * (hyper.sigma_f**2 + hyper.sigma_n**2)
     return k + (hyper.sigma_n**2 + jitter) * np.eye(x.shape[0])
+
+
+def reference_lml(x, y, hyper):
+    """Log marginal likelihood and its gradient (GPML eq. 5.9) from direct
+    differences, numpy.linalg.inv and slogdet. The jitter is held constant
+    in the gradient, as in the model."""
+    n, dim = x.shape
+    d2 = ((x[:, None, :] - x[None, :, :]) / hyper.length_scale) ** 2  # (n, n, dim)
+    k = kernel_matrix(x, x, hyper)
+    ky = noisy_gram(x, hyper)
+    ky_inv = np.linalg.inv(ky)
+    alpha = ky_inv @ y
+    _, logdet = np.linalg.slogdet(ky)
+    value = -0.5 * float(y @ alpha) - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi)
+    a = np.outer(alpha, alpha) - ky_inv
+    grad = [np.sum(a * k)]
+    if hyper.length_scale.size == 1:
+        grad.append(0.5 * np.sum(a * k * d2.sum(axis=-1)))
+    else:
+        grad.extend(0.5 * np.sum(a * k * d2[:, :, i]) for i in range(dim))
+    grad.append(hyper.sigma_n**2 * np.trace(a))
+    return value, np.array(grad)
 
 
 def fitted_model(x, y, hyper, window=200):
@@ -41,10 +75,12 @@ def sample_gp_data(rng, hyper, n, low=-4.0, high=4.0):
 
 
 def kernel(a, b, hyper):
-    """Covariance of two input vectors, through kernel_matrix on one-row inputs."""
-    k = kernel_matrix(a, b, hyper)
-    assert k.shape == (1, 1)
-    return float(k[0, 0])
+    """Covariance of two input vectors, as the model's k* computes it."""
+    model = GpModel(window=1, hyper=hyper)
+    model.observe(a, 0.0)
+    k_star = model.refresh()._k_star(b)
+    assert k_star.shape == (1,)
+    return float(k_star[0])
 
 
 class TestKernel:
@@ -69,7 +105,7 @@ class TestKernel:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kernel_matrix(np.zeros(2), np.zeros(3), Hyperparams())
+            kernel(np.zeros(2), np.zeros(3), Hyperparams())
 
 
 class TestPredict:
@@ -191,6 +227,21 @@ class TestLogMarginalLikelihood:
             v_dn, _ = log_marginal_likelihood(x, y, Hyperparams.from_log_vector(down))
             assert abs(grad[j] - (v_up - v_dn) / (2 * eps)) <= 1e-5 * max(abs(grad[j]), 1.0)
 
+    @pytest.mark.parametrize("n", [2, 50, 200])
+    @pytest.mark.parametrize("length_scale", [0.7, (0.5, 1.3)])
+    @pytest.mark.parametrize("sigma_n", [0.1, 1e-4])
+    def test_matches_direct_inversion_reference(self, n, length_scale, sigma_n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1, 1, size=(n, 2))
+        # smooth noise-free targets, on which a fit puts sigma_n at its floor
+        y = np.sin(2 * x[:, 0]) * np.cos(x[:, 1])
+        hyper = Hyperparams(1.2, np.array(length_scale), sigma_n)
+        value, grad = log_marginal_likelihood(x, y, hyper)
+        ref_value, ref_grad = reference_lml(x, y, hyper)
+        assert grad.shape == ref_grad.shape
+        assert abs(value - ref_value) <= 1e-9 * abs(ref_value)
+        assert np.linalg.norm(grad - ref_grad) <= 1e-6 * np.linalg.norm(ref_grad)
+
     def test_duplicated_point_changes_value(self):
         h = Hyperparams(1.0, 1.0, 0.3)
         x = np.array([[0.0], [1.0]])
@@ -250,6 +301,51 @@ class TestFit:
             model.observe(xi, yi)
         model.fit()
         assert model.hyper.sigma_n >= 1e-4 * (1 - 1e-12)
+
+    def test_per_dimension_lengthscales(self):
+        rng = np.random.default_rng(22)
+        x = rng.uniform(-1, 1, size=(40, 2))
+        y = np.sin(3 * x[:, 0]) + 0.1 * x[:, 1]  # fast along x0, slow along x1
+        incumbent = Hyperparams(0.5, np.array([2.0, 2.0]), 0.3)
+        v_inc, _ = log_marginal_likelihood(x, y, incumbent)
+        model = GpModel(
+            window=40, hyper=incumbent, starts=3, seed=0, sigma_n_floor=1e-4, per_dim_lengthscale=True
+        )
+        for xi, yi in zip(x, y):
+            model.observe(xi, yi)
+        model.fit()
+        v_fit, _ = log_marginal_likelihood(x, y, model.hyper)
+        assert model.hyper.length_scale.shape == (2,)
+        assert v_fit >= v_inc - 1e-12
+        assert model.hyper.sigma_n >= 1e-4 * (1 - 1e-12)
+        assert model.hyper.length_scale[0] < model.hyper.length_scale[1]
+
+    def test_failed_refit_keeps_snapshot(self):
+        rng = np.random.default_rng(23)
+        x, y = sample_gp_data(rng, Hyperparams(1.0, 0.7, 0.1), n=20)
+        model = GpModel(window=40, starts=2, seed=0)
+        for xi, yi in zip(x, y):
+            model.observe(xi, yi)
+        model.fit()
+        hyper, q = model.hyper, np.array([0.3])
+        before = model.predict(q)
+        model.observe(np.array([np.nan]), 0.5)
+        with pytest.raises(NotPositiveDefiniteError):
+            model.refresh()
+        with pytest.raises(AllStartsFailedError):
+            model.fit()
+        assert model.hyper is hyper
+        assert model.predict(q) == before
+
+    def test_non_finite_target_rejected(self):
+        model = GpModel(window=10)
+        model.observe(np.zeros(2), 1.0)
+        model.observe(np.ones(2), np.inf)
+        with pytest.raises(NonFiniteValueError):
+            model.refresh()
+        with pytest.raises(NonFiniteValueError):
+            model.fit()
+        assert not model.fitted
 
     def test_requires_two_points(self):
         model = GpModel()
