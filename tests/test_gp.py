@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from adaptive_fbl import gp
 from adaptive_fbl.errors import (
     AllStartsFailedError,
     NonFiniteValueError,
@@ -154,6 +155,12 @@ class TestPredict:
         for q in rng.uniform(-1.2, 1.2, size=(2000, 2)).tolist():
             assert model.predict(q)[0] == model.predict_mean(q)
 
+    def test_nan_query_rejected(self):
+        h = Hyperparams(sigma_f=1.0, length_scale=0.8, sigma_n=0.1)
+        model = fitted_model(np.array([[0.0, 0.0], [0.5, -0.5]]), np.array([1.0, -1.0]), h)
+        with pytest.raises(NonFiniteValueError):
+            model.predict(np.array([np.nan, 0.0]))
+
     def test_variance_nonnegative_and_zero_at_training_points(self):
         rng = np.random.default_rng(13)
         h = Hyperparams(sigma_f=1.0, length_scale=0.7, sigma_n=0.0)
@@ -277,6 +284,37 @@ class TestFit:
         model.fit()
         v2, _ = log_marginal_likelihood(x, y, model.hyper)
         assert abs(v2 - v1) <= 1e-9
+
+    def test_step_tolerance_saves_evaluations_not_likelihood(self, monkeypatch):
+        """On a smooth noise-free window, the kind the plant's disturbance
+        gives, stopping at STEP_TOL makes at most half the likelihood
+        evaluations of halving to 1e-10 and ends at the same optimum."""
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-0.6, 0.6, size=(100, 2))
+        y = np.cos(x[:, 0]) + x[:, 1]
+
+        def fit_counting():
+            count = 0
+            evaluate = gp._Likelihood.evaluate
+
+            def counted(self, hyper):
+                nonlocal count
+                count += 1
+                return evaluate(self, hyper)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(gp._Likelihood, "evaluate", counted)
+                model = GpModel(window=100, starts=3, seed=0, sigma_n_floor=1e-4)
+                for xi, yi in zip(x, y):
+                    model.observe(xi, yi)
+                model.fit()
+            return count, log_marginal_likelihood(x, y, model.hyper)[0]
+
+        count, value = fit_counting()
+        monkeypatch.setattr(gp, "STEP_TOL", 1e-10)
+        count_ref, value_ref = fit_counting()
+        assert 2 * count <= count_ref
+        assert abs(value - value_ref) <= 1e-8 * abs(value_ref)
 
     def test_never_below_incumbent(self):
         rng = np.random.default_rng(19)
