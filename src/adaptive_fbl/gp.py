@@ -109,7 +109,6 @@ class _Evaluation(NamedTuple):
     gradient and the prediction snapshot reuse."""
 
     value: float
-    r2: np.ndarray  # squared distances, each dimension divided by its length scale
     k: np.ndarray  # noise-free kernel matrix
     chol: np.ndarray  # lower Cholesky factor of K + (sigma_n^2 + jitter) I
     alpha: np.ndarray  # (K + (sigma_n^2 + jitter) I)^-1 y
@@ -120,9 +119,10 @@ class _Likelihood:
 
     A fit evaluates the likelihood hundreds of times on the same window,
     so the pairwise squared differences of the inputs are taken once, per
-    dimension. An evaluation rescales them by 1/l^2, exponentiates, and
-    factors with LAPACK directly. The targets are checked for inf and nan
-    here, once; the factorization does not look at them.
+    dimension. An evaluation builds K from them in place (scale by
+    -1/(2 l^2), exponentiate, multiply by sigma_f^2) and factors with
+    LAPACK directly. The targets are checked for inf and nan here, once;
+    the factorization does not look at them.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -139,11 +139,11 @@ class _Likelihood:
         fails its factorization or holds inf or nan."""
         ls = hyper.length_scale
         if ls.size == 1:
-            r2 = self.sqdist / ls[0] ** 2
+            k = np.multiply(self.sqdist, -0.5 / ls[0] ** 2)
         else:
-            r2 = np.tensordot(ls**-2.0, self.sqdiff, axes=1)
+            k = np.tensordot(-0.5 * ls**-2.0, self.sqdiff, axes=1)
+        np.exp(k, out=k)
         sf2, sn2 = hyper.sigma_f**2, hyper.sigma_n**2
-        k = np.exp(-0.5 * r2)
         k *= sf2
         ky = k.copy()
         ky.flat[:: ky.shape[0] + 1] += sn2 + JITTER_REL * (sf2 + sn2)
@@ -156,23 +156,35 @@ class _Likelihood:
             raise NotPositiveDefiniteError("kernel matrix is not positive definite")
         alpha, _ = dpotrs(chol, self.y, lower=1)
         value = -0.5 * float(self.y @ alpha) - half_logdet - 0.5 * len(self.y) * math.log(2.0 * math.pi)
-        return _Evaluation(value, r2, k, chol, alpha)
+        return _Evaluation(value, k, chol, alpha)
 
     def gradient(self, hyper: Hyperparams, ev: _Evaluation) -> np.ndarray:
         """GPML eq. 5.9 with respect to (log sigma_f, log length_scale...,
-        log sigma_n): 1/2 tr((alpha alpha^T - Ky^-1) dKy/dtheta)."""
-        ky_inv, _ = dpotri(ev.chol, lower=1)  # lower triangle only
-        ky_inv += np.tril(ky_inv, -1).T
-        a = np.outer(ev.alpha, ev.alpha)
-        a -= ky_inv
-        ak = a * ev.k
-        grads = [float(np.sum(ak))]  # d/dlog sigma_f contributes 2K, times the 1/2 out front
-        if hyper.length_scale.size == 1:
-            grads.append(0.5 * float(np.sum(ak * ev.r2)))
-        else:
-            per_dim = np.tensordot(self.sqdiff, ak, axes=2) / hyper.length_scale**2
-            grads.extend((0.5 * per_dim).tolist())
-        grads.append(float(hyper.sigma_n**2 * np.trace(a)))
+        log sigma_n): 1/2 tr((alpha alpha^T - Ky^-1) dKy/dtheta).
+
+        The jitter JITTER_REL (sigma_f^2 + sigma_n^2) is held constant: its
+        own derivative is left out. The omitted term is negligible while
+        sigma_n^2 is large against the jitter, but at the noise floor the
+        two are of one size, and the sigma_f component can then be wrong in
+        sign (see the FOUND line on the jitter convention in CHANGES.md).
+
+        Only one triangle of Ky^-1 is formed. dpotrf zeroes the unused
+        triangle of the factor and dpotri writes only the lower one, so U,
+        the C-ordered view of its result, is Ky^-1's upper triangle with
+        zeros below. For symmetric M, tr(Ky^-1 M) = 2 sum(U * M) -
+        diag(Ky^-1) . diag(M), where diag K = sigma_f^2 and diag of K * D_d
+        (D_d: squared differences along dimension d) is zero.
+        """
+        b, _ = dpotri(ev.chol, lower=1)
+        u = b.T
+        alpha, k = ev.alpha, ev.k
+        tr_inv = float(np.trace(u))
+        grads = [float(alpha @ (k @ alpha)) - 2.0 * float(np.vdot(u, k)) + hyper.sigma_f**2 * tr_inv]
+        ls = hyper.length_scale
+        for d2, ell in zip([self.sqdist] if ls.size == 1 else self.sqdiff, ls):
+            kd = k * d2
+            grads.append(0.5 / ell**2 * (float(alpha @ (kd @ alpha)) - 2.0 * float(np.vdot(u, kd))))
+        grads.append(hyper.sigma_n**2 * (float(alpha @ alpha) - tr_inv))
         return np.array(grads)
 
 
@@ -278,11 +290,14 @@ class GpModel:
         max_iter accepted steps. Line-search candidates only evaluate the
         likelihood value; the gradient is computed once per accepted point.
 
-        The stop is not a stationarity test. On smooth windows the noise
-        scale ends clamped at its floor while its gradient component still
-        pulls down and dominates the normalized direction, so the free
-        axes advance only a small fraction of each step and the ascent
-        can stop with their gradient far from zero.
+        The stop is not a stationarity test, and the direction is not
+        always uphill. On smooth windows the noise scale ends at its floor,
+        where the jitter is as large as sigma_n^2. The gradient holds the
+        jitter constant, so there its sigma_f component can be wrong in
+        sign: on case e's first fit at h = 0.01 with a 200-point window it
+        reads +8.50 where the likelihood's slope is -12.82. Trial steps
+        along such a direction are rejected until the step falls below
+        STEP_TOL, so a start can stop with its gradient far from zero.
         """
         theta = self._clamp(theta.copy())
         hyper = Hyperparams.from_log_vector(theta)

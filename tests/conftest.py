@@ -1,6 +1,14 @@
+import os
+
 import pytest
 
-from adaptive_fbl import CASE_IDS, run_case, scenario_for_case
+# one BLAS thread, as bench/run.py pins it: the GP's 2-200 point matrices
+# gain nothing from threads, and the setting only takes effect if it is made
+# before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from adaptive_fbl import CASE_IDS, run_case, scenario_for_case  # noqa: E402
 
 
 @pytest.fixture(scope="session")
