@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -372,6 +373,11 @@ def main(argv=None) -> int:
         help="train the GP on the mismatch with the literal sign (for comparison)",
     )
     args = parser.parse_args(argv)
+    # One BLAS thread unless the caller chose otherwise. The GP's 100-200
+    # point factorizations gain nothing from threads, and scipy, whose BLAS
+    # they run on, is first imported at the first fit, after this line.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
 
     try:
         cfg = parse_config(args.config.read_text()) if args.config else RunConfig()

@@ -20,13 +20,12 @@ stream in between refits without perturbing the controller mid-step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import (
     AllStartsFailedError,
@@ -41,6 +40,20 @@ LOG_BOUND = 6.0  # |log hyperparam| cap during optimization
 # an ascent ends when its trial step in log-hyperparameter space falls below
 # this; on the plant's windows the shorter steps gained under 1e-3 nats
 STEP_TOL = 1e-3
+
+
+@functools.cache
+def _lapack():
+    """(dpotrf, dpotri, dpotrs, dtrsv) from scipy, imported at the first call.
+
+    Only the GP needs scipy, so a run without one never loads it (about
+    0.4 s and 27 MB), and a process can still limit the BLAS threads scipy
+    starts with until its first fit.
+    """
+    from scipy.linalg.blas import dtrsv
+    from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+
+    return dpotrf, dpotri, dpotrs, dtrsv
 
 
 @dataclass(frozen=True)
@@ -147,6 +160,7 @@ class _Likelihood:
         k *= sf2
         ky = k.copy()
         ky.flat[:: ky.shape[0] + 1] += sn2 + JITTER_REL * (sf2 + sn2)
+        dpotrf, _, dpotrs, _ = _lapack()
         # ky is symmetric, so its transpose is the Fortran-ordered matrix
         # LAPACK factors in place
         chol, info = dpotrf(ky.T, lower=1, overwrite_a=1)
@@ -175,6 +189,7 @@ class _Likelihood:
         diag(Ky^-1) . diag(M), where diag K = sigma_f^2 and diag of K * D_d
         (D_d: squared differences along dimension d) is zero.
         """
+        _, dpotri, _, _ = _lapack()
         b, _ = dpotri(ev.chol, lower=1)
         u = b.T
         alpha, k = ev.alpha, ev.k
@@ -424,6 +439,7 @@ class GpModel:
         mean = float(k_star @ self._snap_alpha)
         if not math.isfinite(mean):
             raise NonFiniteValueError("query state gives a non-finite posterior mean")
+        _, _, _, dtrsv = _lapack()
         v = dtrsv(self._snap_chol, k_star, lower=1)
         var = self._snap_hyper.sigma_f**2 - float(v @ v)
         return mean, max(var, 0.0)
