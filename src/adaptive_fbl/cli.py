@@ -401,6 +401,7 @@ def main(argv=None) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    plant = PLANTS[cfg.plant]()
     metrics: dict[str, Metrics] = {}
     for scenario in scenarios:
         case_id = scenario.case_id
@@ -411,7 +412,7 @@ def main(argv=None) -> int:
                 learner=cfg.learner_config(),
                 gp_cfg=cfg.gp_config(),
                 seed=cfg.seed,
-                plant=PLANTS[cfg.plant](disturbed=scenario.disturbed),
+                plant=plant,
                 reference=REFERENCES[cfg.reference](cfg.amplitude, cfg.omega),
                 ref_amplitude=cfg.amplitude,
                 derivative_mode=cfg.derivative_mode,

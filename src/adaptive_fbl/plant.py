@@ -10,7 +10,7 @@ disturbance d. The built-in benchmark is a second-order system with
 
     phi(theta, thetadot) = [sin(theta), |thetadot|*theta, exp(theta*thetadot)]
     w* = [1, -1, 0.5]
-    d  = cos(theta) + thetadot   switched on for 10 <= t <= 30, else 0
+    d  = cos(theta) + thetadot   (applied on a scenario's disturbed stages only)
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .numerics import dot
 
 BENCHMARK_NAME = "benchmark_5717148"
 BENCHMARK_IDEAL_WEIGHTS = np.array([1.0, -1.0, 0.5])
-DISTURBANCE_START = 10.0
-DISTURBANCE_END = 30.0
 
 
 def integrator_chain(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,19 +92,18 @@ def check_regressor_shape(plant: Plant, x: Sequence[float]) -> None:
 
 
 def plant_step(
-    plant: Plant, t: float, x: Sequence[float], phi: Sequence[float], u: float
-) -> tuple[list[float], float]:
-    """State derivative under control input u, and the disturbance in it.
+    plant: Plant, x: Sequence[float], phi: Sequence[float], u: float, d: float
+) -> list[float]:
+    """State derivative under control input u and disturbance d.
 
     phi is eval_regressor(plant, x). This is the one definition of the
     chain dynamics.
     """
-    d = plant.disturbance(t, x)
     if not math.isfinite(d):
-        raise NonFiniteValueError(f"disturbance non-finite at t={t:g}")
+        raise NonFiniteValueError(f"disturbance non-finite at state {list(x)}")
     xdot = list(x[1:])
     xdot.append(dot(plant._weights, phi) + u + d)
-    return xdot, d
+    return xdot
 
 
 def _benchmark_regressor(x: Sequence[float]) -> tuple[float, float, float]:
@@ -118,27 +115,17 @@ def _benchmark_regressor(x: Sequence[float]) -> tuple[float, float, float]:
     return (math.sin(theta), abs(theta_dot) * theta, growth)
 
 
-def _benchmark_disturbance(t: float, x: np.ndarray) -> float:
-    if DISTURBANCE_START <= t <= DISTURBANCE_END:
-        return math.cos(float(x[0])) + float(x[1])
-    return 0.0
+def _benchmark_disturbance(t: float, x: Sequence[float]) -> float:
+    return math.cos(float(x[0])) + float(x[1])
 
 
-def _zero_disturbance(t: float, x: np.ndarray) -> float:
-    return 0.0
-
-
-def benchmark_plant(disturbed: bool = True) -> Plant:
-    """The built-in second-order benchmark system.
-
-    With disturbed=False the external disturbance is identically zero;
-    otherwise it follows the 10 s to 30 s activation window.
-    """
+def benchmark_plant() -> Plant:
+    """The built-in second-order benchmark system."""
     return Plant(
         order=2,
         ideal_weights=BENCHMARK_IDEAL_WEIGHTS.copy(),
         regressor=_benchmark_regressor,
-        disturbance=_benchmark_disturbance if disturbed else _zero_disturbance,
+        disturbance=_benchmark_disturbance,
         name=BENCHMARK_NAME,
     )
 

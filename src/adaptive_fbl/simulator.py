@@ -1,11 +1,17 @@
 """Scenario runner for the five benchmark cases, metrics, and the
 quadratic-form stability monitor.
 
-A run has three stages on a fixed step grid:
+A run has three stages on a fixed step grid, switched at the rows
+i1 = round(t1 / h) and i2 = round(t2 / h):
 
-    stage 1 (t < t1):   no disturbance; weight learning and recording
-    stage 2 (t1..t2):   disturbance active; GP collects data, no compensation
-    stage 3 (t >= t2):  GP compensates and keeps refitting
+    stage 1 (i < i1):        no disturbance; weight learning and recording
+    stage 2 (i1 <= i < i2):  disturbance active; GP collects data, no compensation
+    stage 3 (i >= i2):       GP compensates and keeps refitting
+
+The disturbance acts from t1 to the end of the run, and a plant's
+disturbance function acts only on these disturbed stages. Each step takes
+the stage of the row it starts from: its row and all four RK4 evaluations
+use that stage's flags, so every switch falls on a step boundary.
 
 The cases differ in which learning pieces are active:
 
@@ -256,7 +262,7 @@ def run_case(
         gp_cfg = GpConfig()
 
     if plant is None:
-        plant = benchmark_plant(disturbed=scenario.disturbed)
+        plant = benchmark_plant()
     if reference is None:
         reference = sine_reference(amplitude=ref_amplitude)
 
@@ -319,13 +325,10 @@ def run_case(
     check_regressor_shape(plant, x)
     no_learning = [0.0] * m_dim
     running_mismatch = 0.0
-    # The compensation gate, shared by rows and integrator stages. The
-    # half-step margin puts every row with index i >= i2 on the compensating
-    # side, immune to float fuzz in i * h.
-    t2_gate = (i2 - 0.5) * h
 
     def evaluate(t, x, w, m_value, row):
-        """The closed loop at (t, x, w): control law and plant step.
+        """The closed loop at (t, x, w) under the current step's flags:
+        control law and plant step.
 
         Returns (x_ref, e, phi, gp_var, bd, xdot, d). On a row (row=True)
         the GP term comes with its posterior variance; inside integrator
@@ -334,18 +337,19 @@ def run_case(
         x_ref, xdot_n_ref = reference.trajectory(t)
         e = [r - v for r, v in zip(x_ref, x)]
         phi = eval_regressor(plant, x)
+        d = plant.disturbance(t, x) if disturbed else 0.0
         g, g_var = 0.0, 0.0
-        if scenario.gp_enabled and t >= t2_gate:
+        if compensating:
             if oracle_gp:
-                g = plant.disturbance(t, x) - dot([a - b for a, b in zip(w, w_star_list)], phi)
+                g = d - dot([a - b for a, b in zip(w, w_star_list)], phi)
             elif model.fitted:
                 g, g_var = model.predict(x) if row else (model.predict_mean(x), 0.0)
         bd = compute_control(cfg, p_rows, w, phi, e, xdot_n_ref, g, m_value=m_value)
-        xdot, d = plant_step(plant, t, x, phi, bd.u_total)
+        xdot = plant_step(plant, x, phi, bd.u_total, d)
         return x_ref, e, phi, g_var, bd, xdot, d
 
-    def weight_rate(t, w, phi, e):
-        if scenario.cl_enabled and t < scenario.t1:
+    def weight_rate(w, phi, e):
+        if learning:
             return weight_update_derivative(lstate, w, phi, e, p_rows)
         return no_learning
 
@@ -355,12 +359,14 @@ def run_case(
         if max(map(abs, x)) > STATE_ESCAPE_LIMIT:
             raise StateEscapeError(f"state left |x| <= {STATE_ESCAPE_LIMIT:g} at t={t:g}: {x}")
 
-        if (
-            model is not None
-            and i >= i2
-            and (i - i2) % refit_every == 0
-            and len(model) >= 2
-        ):
+        # The one stage clock: the row, its records and samples, and every
+        # RK4 evaluation of the step that starts here read these flags.
+        stage = 1 if i < i1 else (2 if i < i2 else 3)
+        learning = scenario.cl_enabled and stage == 1
+        disturbed = scenario.disturbed and stage > 1
+        compensating = scenario.gp_enabled and stage == 3
+
+        if model is not None and stage == 3 and (i - i2) % refit_every == 0 and len(model) >= 2:
             model.fit()
 
         m_value = cfg.m
@@ -393,13 +399,13 @@ def run_case(
         tr.d_true[i] = d
         tr.v[i] = v_val
         tr.vdot[i] = vdot_val
-        tr.stage[i] = 1 if i < i1 else (2 if i < i2 else 3)
+        tr.stage[i] = stage
 
         running_mismatch = max(running_mismatch, abs(bracket))
 
-        if scenario.cl_enabled and i < i1 and i % rec_every == 0:
+        if learning and i % rec_every == 0:
             stack.try_record(phi, xdot_n_meas, bd.u_total)
-        if model is not None and i >= i1 and (i - i1) % samp_every == 0:
+        if model is not None and stage > 1 and (i - i1) % samp_every == 0:
             model.observe(x, target_sign * training_target(xdot_n_meas, w, phi, bd.u_total))
 
         if i < n_steps:
@@ -407,16 +413,16 @@ def run_case(
             # The row's evaluation is the first RK4 stage; its weight rate is
             # taken only now, after try_record may have changed the stack.
             z = x + w
-            k1 = xdot + weight_rate(t, w, phi, e)
+            k1 = xdot + weight_rate(w, phi, e)
 
-            def stage(tt, zz):
+            def derivative(tt, zz):
                 if zz is z:
                     return k1
                 xs, ws = zz[:n], zz[n:]
                 _, e_s, phi_s, _, _, xdot_s, _ = evaluate(tt, xs, ws, m_value, row=False)
-                return xdot_s + weight_rate(tt, ws, phi_s, e_s)
+                return xdot_s + weight_rate(ws, phi_s, e_s)
 
-            z_next = rk4_step(stage, t, z, h)
+            z_next = rk4_step(derivative, t, z, h)
             x, w = z_next[:n], z_next[n:]
 
     return tr, compute_metrics(tr, ref_amplitude)

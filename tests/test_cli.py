@@ -288,6 +288,18 @@ class TestMain:
         assert main(["--cases", "a", "--seed", "-1", "--out", str(tmp_path / "o2")]) == 2
         assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
 
+    def test_case_failing_mid_run_exits_1_without_report(self, tmp_path, capsys):
+        """At h = 0.05 case a runs to the end and case b's state escapes in
+        stage 1: the finished trace stays, and no report is written."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("cases = a,b\nh = 0.05\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        assert "case b failed: state left" in capsys.readouterr().err
+        assert (out / "case_a.csv").exists()
+        assert not (out / "case_b.csv").exists()
+        assert not (out / "report.txt").exists()
+
     def test_cli_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("cases = a,b\nh = 0.01\n")

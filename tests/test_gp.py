@@ -287,7 +287,7 @@ class TestLogMarginalLikelihood:
             fd[j] = (v_up - v_dn) / (2 * eps)
         assert np.all(np.abs(grad - fd) <= 1e-5 * np.linalg.norm(fd))
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(
         n=st.integers(2, 60),
         dim=st.integers(1, 3),

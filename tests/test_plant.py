@@ -16,7 +16,7 @@ from adaptive_fbl.plant import (
 
 @pytest.fixture
 def plant():
-    return benchmark_plant(disturbed=True)
+    return benchmark_plant()
 
 
 class TestRegressor:
@@ -47,15 +47,22 @@ class TestPlantDerivative:
     def test_before_disturbance(self, plant):
         origin = [0.0, 0.0]
         np.testing.assert_allclose(
-            plant_step(plant, 0.0, origin, eval_regressor(plant, origin), 0.0)[0], [0.0, 0.5]
+            plant_step(plant, origin, eval_regressor(plant, origin), 0.0, 0.0), [0.0, 0.5]
         )
 
     def test_with_disturbance(self, plant):
         # at the origin the disturbance adds cos(0) + 0 = 1
         origin = [0.0, 0.0]
+        d = plant.disturbance(15.0, origin)
+        assert d == 1.0
         np.testing.assert_allclose(
-            plant_step(plant, 15.0, origin, eval_regressor(plant, origin), 0.0)[0], [0.0, 1.5]
+            plant_step(plant, origin, eval_regressor(plant, origin), 0.0, d), [0.0, 1.5]
         )
+
+    def test_non_finite_disturbance_aborts(self, plant):
+        origin = [0.0, 0.0]
+        with pytest.raises(NonFiniteValueError, match="disturbance non-finite"):
+            plant_step(plant, origin, eval_regressor(plant, origin), 0.0, math.nan)
 
     def test_exact_cancellation(self, plant):
         rng = np.random.default_rng(5)
@@ -63,25 +70,10 @@ class TestPlantDerivative:
             t = rng.uniform(0.0, 30.0)
             x = rng.uniform(-0.8, 0.8, size=2)
             phi = eval_regressor(plant, x)
-            u = -float(plant.ideal_weights @ phi) - plant.disturbance(t, x)
-            xdot, _ = plant_step(plant, t, x, phi, u)
+            d = plant.disturbance(t, x)
+            u = -float(plant.ideal_weights @ phi) - d
+            xdot = plant_step(plant, x, phi, u, d)
             assert abs(xdot[-1]) <= 1e-12
-
-
-class TestDisturbanceGate:
-    def test_inactive_before_ten_seconds(self, plant):
-        x = np.array([0.3, -0.2])
-        for t in (0.0, 5.0, 9.999):
-            assert plant.disturbance(t, x) == 0.0
-
-    def test_active_in_window(self, plant):
-        x = np.array([0.3, -0.2])
-        for t in (10.0, 15.0, 30.0):
-            assert plant.disturbance(t, x) == math.cos(0.3) - 0.2
-
-    def test_undisturbed_variant(self):
-        quiet = benchmark_plant(disturbed=False)
-        assert quiet.disturbance(15.0, np.array([0.3, -0.2])) == 0.0
 
 
 class TestReference:

@@ -1,13 +1,16 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_fbl import simulator
 from adaptive_fbl.concurrent_learning import LearnerConfig
 from adaptive_fbl.controller import ControllerConfig, compute_P
 from adaptive_fbl.errors import StateEscapeError
-from adaptive_fbl.plant import Plant, integrator_chain
+from adaptive_fbl.plant import Plant, benchmark_plant, integrator_chain
 from adaptive_fbl.simulator import (
     CASE_FLAGS,
     Scenario,
@@ -24,6 +27,11 @@ W_STAR = np.array([1.0, -1.0, 0.5])
 
 def case_trace(case_runs, cid):
     return case_runs[cid][0]
+
+
+def benchmark_disturbance(tr):
+    """cos x1 + x2 on every row, with the float arithmetic the plant uses."""
+    return np.array([math.cos(x1) + x2 for x1, x2 in tr.x.tolist()])
 
 
 def benchmark_phi(x):
@@ -132,6 +140,66 @@ class TestStageGating:
             tr = case_trace(case_runs, cid)
             np.testing.assert_array_equal(tr.w, np.broadcast_to(tr.w[0], tr.w.shape))
             np.testing.assert_allclose(tr.w[0], [0.5, -1.3, 0.75])
+
+
+def assert_stage_clock(tr, scn):
+    """Stage column, disturbance, learning and compensation all switch on
+    the rows i1 = round(t1/h) and i2 = round(t2/h)."""
+    i1 = int(round(scn.t1 / scn.h))
+    i2 = int(round(scn.t2 / scn.h))
+    i = np.arange(tr.n_rows)
+    np.testing.assert_array_equal(tr.stage, np.where(i < i1, 1, np.where(i < i2, 2, 3)))
+    quiet = tr.stage == 1
+    assert np.all(tr.d_true[quiet] == 0.0)
+    if scn.disturbed:
+        np.testing.assert_array_equal(tr.d_true[~quiet], benchmark_disturbance(tr)[~quiet])
+    else:
+        assert np.all(tr.d_true == 0.0)
+    # no step from a row past stage 1 moves the weights
+    np.testing.assert_array_equal(tr.w[i1 + 1 :], tr.w[i1:-1])
+    if scn.cl_enabled and i1 < tr.n_rows:
+        assert np.any(tr.w[i1] != tr.w[i1 - 1])
+    assert np.all(tr.u_gp[:i2] == 0.0)
+
+
+class TestStageClock:
+    def test_benchmark_plant_quiet_in_undisturbed_cases(self):
+        """An explicitly passed benchmark plant is disturbed only where
+        the case says so."""
+        for cid in ("a", "b"):
+            tr, _ = run_case(scenario_for_case(cid, h=0.01, duration=12.0), plant=benchmark_plant())
+            assert np.all(tr.d_true == 0.0)
+
+    def test_disturbance_follows_t1(self):
+        scn = scenario_for_case("c", h=0.01, duration=9.0, t1=5.0, t2=8.0)
+        tr, _ = run_case(scn)
+        assert_stage_clock(tr, scn)
+        assert tr.d_true[500] != 0.0
+
+    def test_switch_on_a_step_that_does_not_divide_t1(self):
+        """At h = 0.003 the first stage-2 row is t = 9.999: it is
+        disturbed, and the weights stop there."""
+        scn = scenario_for_case("c", h=0.003, duration=10.05)
+        tr, _ = run_case(scn)
+        assert tr.t[3333] == pytest.approx(9.999)
+        assert tr.stage[3333] == 2 and tr.d_true[3333] != 0.0
+        assert_stage_clock(tr, scn)
+
+    @settings(max_examples=20)
+    @given(
+        h=st.sampled_from([0.002, 0.003, 0.005, 0.01]),
+        t1=st.floats(0.1, 2.0),
+        gap=st.floats(0.2, 1.5),
+        duration=st.floats(0.5, 3.0),
+    )
+    def test_gates_switch_at_stage_rows(self, h, t1, gap, duration):
+        for cid in ("c", "d", "e"):
+            scn = scenario_for_case(cid, h=h, t1=t1, t2=t1 + gap, duration=duration)
+            tr, _ = run_case(scn, oracle_gp=scn.gp_enabled)
+            assert_stage_clock(tr, scn)
+            i2 = int(round(scn.t2 / h))
+            if scn.gp_enabled and i2 < tr.n_rows:
+                assert tr.u_gp[i2] != 0.0
 
 
 class TestErrorDynamicsConsistency:
@@ -367,8 +435,9 @@ class TestStateEscape:
             disturbance=lambda t, x: 1e5,
             name="runaway",
         )
-        scn = scenario_for_case("a", duration=5.0, w0=np.array([0.0]))
-        with pytest.raises(StateEscapeError):
+        # the disturbance acts from t1 on
+        scn = scenario_for_case("c", duration=5.0, t1=0.5, w0=np.array([0.0]))
+        with pytest.raises(StateEscapeError, match="state left"):
             run_case(scn, plant=runaway)
 
 
