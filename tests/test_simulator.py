@@ -185,7 +185,7 @@ class TestStageClock:
         assert tr.stage[3333] == 2 and tr.d_true[3333] != 0.0
         assert_stage_clock(tr, scn)
 
-    @settings(max_examples=20)
+    @settings(max_examples=15)
     @given(
         h=st.sampled_from([0.002, 0.003, 0.005, 0.01]),
         t1=st.floats(0.1, 2.0),
