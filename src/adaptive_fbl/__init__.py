@@ -18,7 +18,6 @@ from .errors import (
     AllStartsFailedError,
     ConfigError,
     ConfigParseError,
-    NonFiniteDerivativeError,
     NonFiniteValueError,
     NotHurwitzError,
     NotPositiveDefiniteError,

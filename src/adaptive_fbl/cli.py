@@ -67,7 +67,10 @@ class RunConfig:
     derivative_mode: str = "exact"
 
     def scenario(self, case_id: str) -> Scenario:
-        scn = scenario_for_case(case_id, h=self.h)
+        try:
+            scn = scenario_for_case(case_id, h=self.h)
+        except ValueError as exc:  # a step that leaves a stage without rows
+            raise OutOfRangeError(str(exc)) from None
         # cl_enabled / gp_enabled can only confirm what the case defines
         if self.cl_enabled is not None and self.cl_enabled != scn.cl_enabled:
             raise OutOfRangeError(

@@ -13,10 +13,6 @@ class NonFiniteValueError(Exception):
     """A model evaluation produced inf or nan."""
 
 
-class NonFiniteDerivativeError(NonFiniteValueError):
-    """An integrator stage evaluation produced inf or nan."""
-
-
 class StateEscapeError(Exception):
     """The simulated state left the sane operating envelope."""
 

@@ -40,6 +40,7 @@ LOG_BOUND = 6.0  # |log hyperparam| cap during optimization
 # an ascent ends when its trial step in log-hyperparameter space falls below
 # this; on the plant's windows the shorter steps gained under 1e-3 nats
 STEP_TOL = 1e-3
+MAX_ITER = 100  # accepted steps per ascent start
 
 
 @functools.cache
@@ -99,7 +100,6 @@ class GpConfig:
     sample_period: float = 0.1
     refit_period: float = 0.5
     starts: int = 5
-    max_iter: int = 100
     lengthscale_mode: str = "shared"
     sigma_n_floor: float = 1e-4
     paper_literal_sign: bool = False
@@ -235,7 +235,6 @@ class GpModel:
         window: int = 100,
         hyper: Hyperparams | None = None,
         starts: int = 5,
-        max_iter: int = 100,
         sigma_n_floor: float = 1e-4,
         per_dim_lengthscale: bool = False,
         seed: int = 0,
@@ -243,7 +242,6 @@ class GpModel:
         self.window = window
         self.hyper = hyper if hyper is not None else Hyperparams()
         self.starts = starts
-        self.max_iter = max_iter
         self.sigma_n_floor = sigma_n_floor
         self.per_dim_lengthscale = per_dim_lengthscale
         self.seed = seed
@@ -260,7 +258,6 @@ class GpModel:
         return cls(
             window=cfg.window,
             starts=cfg.starts,
-            max_iter=cfg.max_iter,
             sigma_n_floor=cfg.sigma_n_floor,
             per_dim_lengthscale=(cfg.lengthscale_mode == "per_dim"),
             seed=seed,
@@ -302,7 +299,7 @@ class GpModel:
         bounds; the trial step is halved on rejection and doubled (up to 1)
         after acceptance. The ascent stops when the trial step falls below
         STEP_TOL, when every gradient component is below 1e-8, or after
-        max_iter accepted steps. Line-search candidates only evaluate the
+        MAX_ITER accepted steps. Line-search candidates only evaluate the
         likelihood value; the gradient is computed once per accepted point.
 
         The stop is not a stationarity test, and the direction is not
@@ -323,7 +320,7 @@ class GpModel:
         value = ev.value
         grad = lml.gradient(hyper, ev)
         step = 0.5
-        for _ in range(self.max_iter):
+        for _ in range(MAX_ITER):
             gnorm = float(np.linalg.norm(grad))
             if np.max(np.abs(grad)) < 1e-8:
                 break

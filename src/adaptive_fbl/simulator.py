@@ -45,7 +45,7 @@ from .controller import (
     sliding_variable,
     weighting_matrix,
 )
-from .errors import StateEscapeError
+from .errors import NonFiniteValueError, StateEscapeError
 from .gp import GpConfig, GpModel, training_target
 from .numerics import dot, quad_form, rk4_step
 from .plant import (
@@ -97,6 +97,10 @@ class Scenario:
             raise ValueError("h and duration must be positive")
         if not (0 < self.t1 <= self.t2):
             raise ValueError("stage boundaries must satisfy 0 < t1 <= t2")
+        i1, i2 = round(self.t1 / self.h), round(self.t2 / self.h)  # the stage switch rows
+        if i1 == 0 or (i1 == i2 and self.t1 < self.t2):
+            where = f"stage {1 if i1 == 0 else 2} (t1={self.t1:g}, t2={self.t2:g})"
+            raise ValueError(f"h={self.h:g} leaves {where} without rows")
         if self.w0 is not None:
             object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float))
 
@@ -202,7 +206,8 @@ def stage_masks(trace: Trace) -> list[np.ndarray]:
 def compute_metrics(trace: Trace, ref_amplitude: float) -> Metrics:
     """Per-stage and overall average tracking error, plus the final weight error.
 
-    Stages that the run never reached come out as nan.
+    Each stage drops its first TRANSIENT_EXCLUDE (8 s), so a stage shorter
+    than that comes out as nan, the same as a stage the run never reached.
     """
     masks = stage_masks(trace)
     e1 = trace.e[:, 0]
@@ -251,6 +256,10 @@ def run_case(
     derivative_mode="fd" the measured state derivative used for records,
     GP targets, and the monitor is a backward difference instead of the
     exact plant evaluation.
+
+    After each step the new (x, w) must be finite with every |x_i| <=
+    STATE_ESCAPE_LIMIT, else StateEscapeError (finite) or NonFiniteValueError
+    (inf or nan); the final row's derivative must be finite too.
     """
     if derivative_mode not in ("exact", "fd"):
         raise ValueError("derivative_mode must be 'exact' or 'fd'")
@@ -271,8 +280,8 @@ def run_case(
         raise ValueError(f"controller has {cfg.order} gains, plant has order {n}")
     m_dim = plant.ideal_weights.size
     w0 = scenario.w0 if scenario.w0 is not None else INITIAL_WEIGHT_ESTIMATE
-    if w0.shape != (m_dim,):
-        raise ValueError(f"w0 must have length {m_dim}")
+    if w0.shape != (m_dim,) or not np.all(np.isfinite(w0)):
+        raise ValueError(f"w0 must be {m_dim} finite numbers")
 
     # the hot loop works on floats: P and S as rows, states as lists
     p_rows = compute_P(cfg).tolist()
@@ -356,8 +365,6 @@ def run_case(
     prev_xn = None
     for i in range(rows):
         t = i * h
-        if max(map(abs, x)) > STATE_ESCAPE_LIMIT:
-            raise StateEscapeError(f"state left |x| <= {STATE_ESCAPE_LIMIT:g} at t={t:g}: {x}")
 
         # The one stage clock: the row, its records and samples, and every
         # RK4 evaluation of the step that starts here read these flags.
@@ -424,5 +431,17 @@ def run_case(
 
             z_next = rk4_step(derivative, t, z, h)
             x, w = z_next[:n], z_next[n:]
+            # the run's one state check per step; nan fails the first test
+            finite = all(map(math.isfinite, z_next))
+            if not finite or max(map(abs, x)) > STATE_ESCAPE_LIMIT:
+                where = f"in the step from t={t:g} to t={t + h:g}: "
+                where += f"last finite state (x, w) = {z}, result {z_next}"
+                if finite:
+                    raise StateEscapeError(f"state left |x| <= {STATE_ESCAPE_LIMIT:g} {where}")
+                raise NonFiniteValueError(f"state turned inf or nan {where}")
+        elif not all(map(math.isfinite, xdot)):  # no step follows the final row
+            raise NonFiniteValueError(
+                f"inf or nan on the final row at t={t:g}: (x, w) = {x + w}, xdot = {xdot}"
+            )
 
     return tr, compute_metrics(tr, ref_amplitude)

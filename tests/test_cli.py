@@ -256,6 +256,7 @@ class TestMain:
             "gains = [20, 20, 20]",  # three gains on the order-2 plant
             "Q = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]",  # 3x3 Q with two gains
             "cases = a,e\ngp_enabled = false",  # case e defines gp_enabled = true
+            "h = 25",  # round(t1 / h) == 0 leaves stage 1 without rows
         ],
     )
     def test_inconsistent_config_exits_2_before_any_case(self, tmp_path, capsys, text):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptive_fbl.errors import NonFiniteDerivativeError, NotHurwitzError
+from adaptive_fbl.errors import NotHurwitzError
 from adaptive_fbl.numerics import rk4_step, solve_lyapunov
 
 
@@ -84,10 +84,6 @@ class TestRk4:
 
         ratio = integrate(1e-2) / integrate(5e-3)
         assert 16.0 * 0.8 <= ratio <= 16.0 * 1.2
-
-    def test_non_finite_derivative(self):
-        with pytest.raises(NonFiniteDerivativeError):
-            rk4_step(lambda t, x: np.full_like(x, np.inf), 0.0, np.array([1.0]), 0.1)
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):

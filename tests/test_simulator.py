@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from adaptive_fbl import simulator
 from adaptive_fbl.concurrent_learning import LearnerConfig
 from adaptive_fbl.controller import ControllerConfig, compute_P
-from adaptive_fbl.errors import StateEscapeError
+from adaptive_fbl.errors import NonFiniteValueError, StateEscapeError
 from adaptive_fbl.plant import Plant, benchmark_plant, integrator_chain
 from adaptive_fbl.simulator import (
     CASE_FLAGS,
@@ -62,6 +62,21 @@ class TestScenario:
             LearnerConfig(cl_enabled=False)
         with pytest.raises(TypeError):
             scenario_for_case("a", rob_enabled=False)
+
+    @pytest.mark.parametrize(
+        "h, t1, t2, empty",
+        [
+            (0.01, 0.004, 20.0, "stage 1"),  # round(t1/h) == 0
+            (0.5, 10.0, 10.2, "stage 2"),  # round(t1/h) == round(t2/h), t1 < t2
+        ],
+    )
+    def test_step_that_empties_a_stage_rejected(self, h, t1, t2, empty):
+        """A learning case whose stage 1 rounds away would run in stage 2
+        from its first row and never learn, without an error."""
+        with pytest.raises(ValueError, match=f"leaves {empty} .* without rows"):
+            scenario_for_case("b", h=h, t1=t1, t2=t2, duration=2.0)
+        # t1 == t2 asks for no stage 2, and gets none
+        assert scenario_for_case("b", h=0.5, t1=10.0, t2=10.0).t2 == 10.0
 
     def test_controller_order_must_match_plant(self, monkeypatch):
         """Three gains on the order-2 plant fail before the control law is
@@ -439,6 +454,67 @@ class TestStateEscape:
         scn = scenario_for_case("c", duration=5.0, t1=0.5, w0=np.array([0.0]))
         with pytest.raises(StateEscapeError, match="state left"):
             run_case(scn, plant=runaway)
+
+
+def nan_disturbed_plant(after=0.0):
+    """The benchmark regressor and weights with a disturbance that is nan
+    from t = after on (it acts only on a scenario's disturbed stages)."""
+    return Plant(
+        order=2,
+        ideal_weights=W_STAR.copy(),
+        regressor=benchmark_plant().regressor,
+        disturbance=lambda t, x: math.nan if t >= after else 0.0,
+    )
+
+
+class TestOneStateCheckPerStep:
+    @pytest.mark.parametrize(
+        "scenario, plant, message",
+        [
+            pytest.param(
+                # exp(theta * thetadot) overflows inside an RK4 stage of this
+                # step; the step's start state is enough to reproduce it
+                scenario_for_case("b", h=0.03),
+                None,
+                r"state turned inf or nan in the step from t=2\.01 to t=2\.04: "
+                r"last finite state \(x, w\) = \[-0\.164359132154522\d*, 247\.18295528475\d*, .*\], "
+                r"result \[inf, nan,",
+                id="regressor-overflow-in-stage",
+            ),
+            pytest.param(
+                scenario_for_case("c", h=0.01, t1=0.5, duration=1.0),
+                nan_disturbed_plant(),
+                r"state turned inf or nan in the step from t=0\.5 to t=0\.51: .* result \[nan, nan,",
+                id="nan-disturbance-on-first-disturbed-row",
+            ),
+            pytest.param(
+                # stage 2 starts on the final row: no step sees the disturbance
+                scenario_for_case("c", h=0.01, t1=1.0, duration=1.0),
+                nan_disturbed_plant(),
+                r"inf or nan on the final row at t=1: \(x, w\) = \[.*\], xdot = \[.*, nan\]",
+                id="nan-on-final-row-only",
+            ),
+            pytest.param(
+                # nan only in the fourth stage, at t = 0.76: x2 turns nan and
+                # x1 stays finite, and max(map(abs, x)) skips a nan that does
+                # not come first, so a bound on it alone lets this through
+                scenario_for_case("c", h=0.01, t1=0.5, duration=1.0),
+                nan_disturbed_plant(after=0.758),
+                r"state turned inf or nan in the step from t=0\.75 to t=0\.76: "
+                r".* result \[-?\d\.\d+(e-\d+)?, nan, ",
+                id="nan-that-max-abs-misses",
+            ),
+        ],
+    )
+    def test_raises_at_its_step(self, scenario, plant, message):
+        with pytest.raises(NonFiniteValueError, match=message):
+            run_case(scenario, plant=plant)
+
+    def test_initial_weights_must_be_finite(self):
+        """The first step's start state is the last finite state its
+        message names, so a nan w0 is refused before stepping."""
+        with pytest.raises(ValueError, match="finite"):
+            run_case(scenario_for_case("b", duration=0.1, w0=[math.nan, 0.0, 0.0]))
 
 
 class TestPlantShape:
