@@ -12,7 +12,6 @@ from .controller import (
     ControllerConfig,
     compute_control,
     compute_P,
-    robustness_term,
 )
 from .errors import (
     AllStartsFailedError,

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -135,10 +137,16 @@ class RunConfig:
         return items
 
 
+def _number(v) -> bool:
+    """A finite int or float, not a bool. json.loads and argparse's float
+    both accept NaN and Infinity, and `NaN <= 0` is False."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _positive(name):
     def check(v):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-            raise OutOfRangeError(f"{name} must be a positive number, got {v!r}")
+        if not _number(v) or v <= 0:
+            raise OutOfRangeError(f"{name} must be a positive finite number, got {v!r}")
         return float(v)
 
     return check
@@ -146,8 +154,8 @@ def _positive(name):
 
 def _non_negative(name):
     def check(v):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-            raise OutOfRangeError(f"{name} must be a non-negative number, got {v!r}")
+        if not _number(v) or v < 0:
+            raise OutOfRangeError(f"{name} must be a non-negative finite number, got {v!r}")
         return float(v)
 
     return check
@@ -297,12 +305,22 @@ def emit_trace(trace: Trace, path) -> None:
         for start in range(0, trace.n_rows, EMIT_BLOCK_ROWS):
             block = slice(start, start + EMIT_BLOCK_ROWS)
             cells = [
-                map(str, col[block].astype(int).tolist())
+                _block_cells(col[block].astype(int), str)
                 if j == stage_col
-                else map(repr, np.asarray(col[block], dtype=float).tolist())
+                else _block_cells(np.asarray(col[block], dtype=float), repr)
                 for j, col in enumerate(cols)
             ]
-            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _block_cells(values: np.ndarray, fmt):
+    """The cell strings of one column block of 8-byte numbers. A block whose
+    values all share one bit pattern (so 0.0 and -0.0 differ) is formatted
+    once: the zeros of an inactive term, the weights after learning stops."""
+    bits = values.view(np.int64)
+    if (bits == bits[0]).all():
+        return repeat(fmt(values[0].item()), values.size)
+    return map(fmt, values.tolist())
 
 
 def _evaluate_checks(metrics: dict[str, Metrics]) -> list[tuple[str, float, float, bool]]:

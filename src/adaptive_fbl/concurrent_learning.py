@@ -78,9 +78,10 @@ def _qualities(sv: np.ndarray, shape: tuple[int, int]) -> list[tuple[int, float]
     if sv.shape[1] == 0:
         return [(0, 0.0)] * sv.shape[0]
     tol = max(m, p) * np.finfo(float).eps * sv[:, :1]
-    ranks = np.sum(sv > tol, axis=1).tolist()
-    sigmas = sv[:, -1].tolist() if p >= m else [0.0] * sv.shape[0]
-    return list(zip(ranks, sigmas))
+    ranks = np.sum(sv > tol, axis=1)
+    # below full rank the last singular value is rounding under the tolerance
+    sigmas = np.where(ranks == m, sv[:, -1], 0.0)
+    return list(zip(ranks.tolist(), sigmas.tolist()))
 
 
 class HistoryStack:
@@ -195,7 +196,7 @@ def weight_update_derivative(
     cost does not grow with the number of records.
     """
     gamma = state.gamma_w
-    rate = -gamma * float(dot(p[-1], e))
+    rate = -gamma * dot(p[-1], e)
     stack = state.stack
     if not len(stack):
         return [rate * v for v in phi_now]

@@ -97,19 +97,6 @@ def weighting_matrix(cfg: ControllerConfig) -> np.ndarray:
     return cfg.q + cfg.r * np.outer(cfg.gains, cfg.gains)
 
 
-def sliding_variable(p: Sequence[Sequence[float]], e: Sequence[float]) -> float:
-    """s = b.T P e; with the integrator-chain b this is the last row of P e."""
-    return float(dot(p[-1], e))
-
-
-def robustness_term(p: Sequence[Sequence[float]], e: Sequence[float], m: float, rho: float) -> float:
-    """Boundary-layer robustness component; magnitude never exceeds m."""
-    s = sliding_variable(p, e)
-    if abs(s) > rho:
-        return -m if s > 0 else m
-    return -m * s / rho
-
-
 def compute_control(
     cfg: ControllerConfig,
     p: Sequence[Sequence[float]],
@@ -124,16 +111,21 @@ def compute_control(
 
     gp_mean must be 0 when GP compensation is inactive. m_value overrides
     the configured robustness gain (used by the auto-gain mode). p is
-    P as rows; a numpy matrix works too.
+    P as rows; a numpy matrix works too. The robustness term is the
+    boundary-layer saturation of s = b.T P e; its magnitude never
+    exceeds the gain.
     """
-    u_fbl = -float(dot(w, phi))
-    u_sfb = float(dot(cfg.gains, e))
-    u_ref = float(xdot_n_ref)
-    u_gp = float(gp_mean)
+    u_fbl = -dot(w, phi)
+    u_sfb = dot(cfg.gains, e)
     if cfg.rob_enabled:
         m = cfg.m if m_value is None else m_value
-        u_rob = robustness_term(p, e, m, cfg.rho)
+        s = dot(p[-1], e)  # b.T P e: the integrator chain's b picks P's last row
+        rho = cfg.rho
+        if abs(s) > rho:
+            u_rob = -m if s > 0 else m
+        else:
+            u_rob = -m * s / rho
     else:
         u_rob = 0.0
-    u_total = u_fbl + u_sfb + u_ref - u_gp - u_rob
-    return ControlBreakdown(u_fbl, u_sfb, u_ref, u_gp, u_rob, u_total)
+    u_total = u_fbl + u_sfb + xdot_n_ref - gp_mean - u_rob
+    return ControlBreakdown(u_fbl, u_sfb, xdot_n_ref, gp_mean, u_rob, u_total)

@@ -63,6 +63,9 @@ class ReferenceModel:
     """Reference trajectory t -> (x_ref, xdot_n_ref).
 
     Component i+1 of x_ref must be the time derivative of component i.
+    trajectory must be a pure function of t: the simulator evaluates it
+    once per distinct time and reuses the result for every evaluation at
+    that time (RK4's two midpoint stages, and a row after the step's end).
     """
 
     trajectory: Callable[[float], tuple[Sequence[float], float]]
@@ -89,9 +92,7 @@ def plant_step(
     phi is eval_regressor(plant, x). This is the one definition of the
     chain dynamics.
     """
-    xdot = list(x[1:])
-    xdot.append(dot(plant._weights, phi) + u + d)
-    return xdot
+    return [*x[1:], dot(plant._weights, phi) + u + d]
 
 
 def _benchmark_regressor(x: Sequence[float]) -> tuple[float, float, float]:

@@ -2,7 +2,7 @@
 quadratic-form stability monitor.
 
 A run has three stages on a fixed step grid, switched at the rows
-i1 = round(t1 / h) and i2 = round(t2 / h):
+(i1, i2) = stage_rows(t1, t2, h), that is round(t1 / h) and round(t2 / h):
 
     stage 1 (i < i1):        no disturbance; weight learning and recording
     stage 2 (i1 <= i < i2):  disturbance active; GP collects data, no compensation
@@ -27,22 +27,26 @@ control law is evaluated inside every integrator stage, and the row
 evaluation that fills the trace at each step is the first stage: one
 step costs four evaluations of the closed loop. The stepping core runs
 on plain float lists; numpy holds the trace and does the per-run setup.
+Each row is stored with one assignment into one preallocated buffer,
+whose column views are the trace's arrays, and the quadratic-form
+monitor runs once over the whole trace after the last step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 import numpy as np
 
 from .concurrent_learning import HistoryStack, LearnerConfig, LearnerState, weight_update_derivative
 from .controller import (
+    ControlBreakdown,
     ControllerConfig,
     compute_control,
     compute_P,
-    sliding_variable,
     weighting_matrix,
 )
 from .errors import NonFiniteValueError, StateEscapeError
@@ -78,6 +82,11 @@ CASE_FLAGS = {
 }
 
 
+def stage_rows(t1: float, t2: float, h: float) -> tuple[int, int]:
+    """The rows (i1, i2) on which stages 2 and 3 begin: the stage-switch rule."""
+    return round(t1 / h), round(t2 / h)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One simulation case: stage boundaries, step size, and feature flags."""
@@ -97,7 +106,7 @@ class Scenario:
             raise ValueError("h and duration must be positive")
         if not (0 < self.t1 <= self.t2):
             raise ValueError("stage boundaries must satisfy 0 < t1 <= t2")
-        i1, i2 = round(self.t1 / self.h), round(self.t2 / self.h)  # the stage switch rows
+        i1, i2 = stage_rows(self.t1, self.t2, self.h)
         if i1 == 0 or (i1 == i2 and self.t1 < self.t2):
             where = f"stage {1 if i1 == 0 else 2} (t1={self.t1:g}, t2={self.t2:g})"
             raise ValueError(f"h={self.h:g} leaves {where} without rows")
@@ -193,8 +202,7 @@ def average_error_pct(e1: np.ndarray, ref_amplitude: float) -> float:
 def stage_masks(trace: Trace) -> list[np.ndarray]:
     """Row masks for the three stages, each excluding its first seconds of transient."""
     i = np.arange(trace.n_rows)
-    i1 = int(round(trace.t1 / trace.h))
-    i2 = int(round(trace.t2 / trace.h))
+    i1, i2 = stage_rows(trace.t1, trace.t2, trace.h)
     excl = int(round(TRANSIENT_EXCLUDE / trace.h))
     return [
         (i >= excl) & (i < i1),
@@ -221,18 +229,22 @@ def compute_metrics(trace: Trace, ref_amplitude: float) -> Metrics:
 def lyapunov_monitor(
     p: Sequence[Sequence[float]],
     s_tilde: Sequence[Sequence[float]],
-    e: Sequence[float],
-    bracket: float,
-    u_rob: float,
-) -> tuple[float, float]:
-    """Quadratic-form value and its analytic rate.
+    e: np.ndarray,
+    bracket: np.ndarray,
+    u_rob: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic-form value V = e.T P e and its analytic rate
+    Vdot = -e.T S e + 2 s (bracket + u_rob), s = b.T P e, on every row.
 
-    bracket is the measured residual forcing (model error minus disturbance
-    plus GP compensation).
+    e is (rows, n); bracket and u_rob hold one value per row. bracket is
+    the measured residual forcing (model error minus disturbance plus GP
+    compensation). The sums go through numerics.dot on e's columns, left
+    to right, so each row gets the same bits as quad_form on that row.
     """
-    v = float(quad_form(p, e))
-    s = sliding_variable(p, e)
-    vdot = -float(quad_form(s_tilde, e)) + 2.0 * s * (bracket + u_rob)
+    cols = list(np.transpose(e))
+    v = quad_form(p, cols)
+    s = dot(p[-1], cols)  # b.T P e
+    vdot = -quad_form(s_tilde, cols) + 2.0 * s * (bracket + u_rob)
     return v, vdot
 
 
@@ -283,16 +295,14 @@ def run_case(
     if w0.shape != (m_dim,) or not np.all(np.isfinite(w0)):
         raise ValueError(f"w0 must be {m_dim} finite numbers")
 
-    # the hot loop works on floats: P and S as rows, states as lists
+    # the hot loop works on floats: P as rows, states as lists
     p_rows = compute_P(cfg).tolist()
-    s_rows = weighting_matrix(cfg).tolist()
     w_star = plant.ideal_weights
     w_star_list = w_star.tolist()
 
     h = scenario.h
     n_steps = int(round(scenario.duration / h))
-    i1 = int(round(scenario.t1 / h))
-    i2 = int(round(scenario.t2 / h))
+    i1, i2 = stage_rows(scenario.t1, scenario.t2, h)
     rec_every = max(1, int(round(learner.record_period / h)))
     samp_every = max(1, int(round(gp_cfg.sample_period / h)))
     refit_every = max(1, int(round(gp_cfg.refit_period / h)))
@@ -303,37 +313,18 @@ def run_case(
     model = GpModel.from_config(gp_cfg, seed=seed) if scenario.gp_enabled and not oracle_gp else None
 
     rows = n_steps + 1
-    tr = Trace(
-        case_id=scenario.case_id,
-        h=h,
-        t1=scenario.t1,
-        t2=scenario.t2,
-        w_star=w_star.copy(),
-        ref_amplitude=ref_amplitude,
-        t=np.zeros(rows),
-        x=np.zeros((rows, n)),
-        x_ref=np.zeros((rows, n)),
-        e=np.zeros((rows, n)),
-        u_total=np.zeros(rows),
-        u_fbl=np.zeros(rows),
-        u_sfb=np.zeros(rows),
-        u_ref=np.zeros(rows),
-        u_gp=np.zeros(rows),
-        u_rob=np.zeros(rows),
-        w=np.zeros((rows, m_dim)),
-        gp_mean=np.zeros(rows),
-        gp_var=np.zeros(rows),
-        d_true=np.zeros(rows),
-        v=np.zeros(rows),
-        vdot=np.zeros(rows),
-        stage=np.zeros(rows, dtype=int),
-    )
+    # Row i of the run, stored with one assignment: t, x, x_ref, e, the
+    # ControlBreakdown fields in their order, w, gp_mean, gp_var, d_true
+    # and the row's bracket for the monitor. The trace's float columns are
+    # views of this buffer, never copies of it.
+    buf = np.empty((rows, 3 * n + m_dim + 11))
 
     x = [0.0] * n
     w = w0.tolist()
     check_regressor_shape(plant, x)
     no_learning = [0.0] * m_dim
     running_mismatch = 0.0
+    ref_t = ref = None  # the last time the reference was evaluated at, and its value
 
     def evaluate(t, x, w, m_value, row):
         """The closed loop at (t, x, w) under the current step's flags:
@@ -343,14 +334,18 @@ def run_case(
         the GP term comes with its posterior variance; inside integrator
         stages only the mean is needed.
         """
-        x_ref, xdot_n_ref = reference.trajectory(t)
-        e = [r - v for r, v in zip(x_ref, x)]
+        nonlocal ref_t, ref
+        # k2 and k3 share t + h/2, and a row's t is most often k4's t + h
+        if t != ref_t:
+            ref_t, ref = t, reference.trajectory(t)
+        x_ref, xdot_n_ref = ref
+        e = list(map(sub, x_ref, x))
         phi = eval_regressor(plant, x)
         d = plant.disturbance(t, x) if disturbed else 0.0
         g, g_var = 0.0, 0.0
         if compensating:
             if oracle_gp:
-                g = d - dot([a - b for a, b in zip(w, w_star_list)], phi)
+                g = d - dot(list(map(sub, w, w_star_list)), phi)
             elif model.fitted:
                 g, g_var = model.predict(x) if row else (model.predict_mean(x), 0.0)
         bd = compute_control(cfg, p_rows, w, phi, e, xdot_n_ref, g, m_value=m_value)
@@ -361,6 +356,15 @@ def run_case(
         if learning:
             return weight_update_derivative(lstate, w, phi, e, p_rows)
         return no_learning
+
+    def derivative(tt, zz):
+        # The row's evaluation is the first RK4 stage; its weight rate is
+        # taken only after try_record may have changed the stack.
+        if zz is z:
+            return k1
+        xs, ws = zz[:n], zz[n:]
+        _, e_s, phi_s, _, _, xdot_s, _ = evaluate(tt, xs, ws, m_value, row=False)
+        return xdot_s + weight_rate(ws, phi_s, e_s)
 
     prev_xn = None
     for i in range(rows):
@@ -388,25 +392,7 @@ def run_case(
             xdot_n_meas = xdot[-1]
         # -u_fbl is w . phi
         bracket = -bd.u_fbl + bd.u_total + bd.u_gp - xdot_n_meas
-        v_val, vdot_val = lyapunov_monitor(p_rows, s_rows, e, bracket, bd.u_rob)
-
-        tr.t[i] = t
-        tr.x[i] = x
-        tr.x_ref[i] = x_ref
-        tr.e[i] = e
-        tr.u_total[i] = bd.u_total
-        tr.u_fbl[i] = bd.u_fbl
-        tr.u_sfb[i] = bd.u_sfb
-        tr.u_ref[i] = bd.u_ref
-        tr.u_gp[i] = bd.u_gp
-        tr.u_rob[i] = bd.u_rob
-        tr.w[i] = w
-        tr.gp_mean[i] = bd.u_gp
-        tr.gp_var[i] = gp_var
-        tr.d_true[i] = d
-        tr.v[i] = v_val
-        tr.vdot[i] = vdot_val
-        tr.stage[i] = stage
+        buf[i] = [t, *x, *x_ref, *e, *bd, *w, bd.u_gp, gp_var, d, bracket]
 
         running_mismatch = max(running_mismatch, abs(bracket))
 
@@ -417,18 +403,8 @@ def run_case(
 
         if i < n_steps:
             prev_xn = x[-1]
-            # The row's evaluation is the first RK4 stage; its weight rate is
-            # taken only now, after try_record may have changed the stack.
             z = x + w
             k1 = xdot + weight_rate(w, phi, e)
-
-            def derivative(tt, zz):
-                if zz is z:
-                    return k1
-                xs, ws = zz[:n], zz[n:]
-                _, e_s, phi_s, _, _, xdot_s, _ = evaluate(tt, xs, ws, m_value, row=False)
-                return xdot_s + weight_rate(ws, phi_s, e_s)
-
             z_next = rk4_step(derivative, t, z, h)
             x, w = z_next[:n], z_next[n:]
             # the run's one state check per step; nan fails the first test
@@ -444,4 +420,38 @@ def run_case(
                 f"inf or nan on the final row at t={t:g}: (x, w) = {x + w}, xdot = {xdot}"
             )
 
+    t_col, x_col, x_ref_col, e_col, bd_cols, w_col, rest = np.split(
+        buf, np.cumsum([1, n, n, n, len(ControlBreakdown._fields), m_dim]), axis=1
+    )
+    u_fbl, u_sfb, u_ref, u_gp, u_rob, u_total = bd_cols.T
+    gp_mean, gp_var, d_true, bracket = rest.T
+    v, vdot = lyapunov_monitor(p_rows, weighting_matrix(cfg).tolist(), e_col, bracket, u_rob)
+    stage = np.full(rows, 3)
+    stage[:i2] = 2
+    stage[:i1] = 1
+    tr = Trace(
+        case_id=scenario.case_id,
+        h=h,
+        t1=scenario.t1,
+        t2=scenario.t2,
+        w_star=w_star.copy(),
+        ref_amplitude=ref_amplitude,
+        t=t_col[:, 0],
+        x=x_col,
+        x_ref=x_ref_col,
+        e=e_col,
+        u_total=u_total,
+        u_fbl=u_fbl,
+        u_sfb=u_sfb,
+        u_ref=u_ref,
+        u_gp=u_gp,
+        u_rob=u_rob,
+        w=w_col,
+        gp_mean=gp_mean,
+        gp_var=gp_var,
+        d_true=d_true,
+        v=v,
+        vdot=vdot,
+        stage=stage,
+    )
     return tr, compute_metrics(tr, ref_amplitude)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_fbl.cli import (
     EMIT_BLOCK_ROWS,
@@ -54,6 +56,20 @@ def tiny_trace(n_rows=3):
         vdot=rng.standard_normal(n),
         stage=(np.arange(n) % 3) + 1,
     )
+
+
+def per_cell_csv(tr) -> bytes:
+    """The CSV that formatting each cell on its own gives: the reference
+    for emit_trace's block-wise formatting."""
+    names, cols = zip(*tr.named_columns())
+    stage_col = len(cols) - 1
+    lines = [",".join(names)]
+    for i in range(tr.n_rows):
+        lines.append(",".join(
+            str(int(col[i])) if j == stage_col else repr(float(col[i]))
+            for j, col in enumerate(cols)
+        ))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def metrics_for(case_id, s1, s2, s3):
@@ -136,6 +152,20 @@ class TestParseConfig:
             cfg2.scenario("d")
 
 
+# the special values a trace cell can hold (nan only in its one canonical
+# form: every nan prints as "nan"), and runs of one value per column
+SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 2.2250738585072014e-308, 0.1]
+cell_value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False))
+column_runs = st.lists(st.tuples(cell_value, st.integers(1, 700)), min_size=1, max_size=4)
+stage_value_runs = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 700)), min_size=1, max_size=3)
+
+
+def from_runs(runs, n_rows):
+    """n_rows values: each (value, count) run in turn, repeated to fill."""
+    values = np.concatenate([np.full(count, value) for value, count in runs])
+    return np.resize(values, n_rows)
+
+
 class TestEmitTrace:
     def test_row_count(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -166,22 +196,45 @@ class TestEmitTrace:
 
     def test_matches_per_cell_formatter(self, tmp_path):
         """Block-wise formatting writes the same bytes as formatting each
-        cell on its own, across block boundaries and for special values."""
+        cell on its own, across block boundaries, for special values and
+        for constant blocks, which are formatted once."""
         tr = tiny_trace(2 * EMIT_BLOCK_ROWS + 3)
         tr.u_gp[:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
         tr.x[EMIT_BLOCK_ROWS - 1 : EMIT_BLOCK_ROWS + 1, 0] = [0.1, 1e22]
+        tr.gp_var[:] = 0.0
+        tr.d_true[:] = 0.0
+        tr.d_true[EMIT_BLOCK_ROWS + 7] = -0.0  # equal to 0.0, but not the same cell
+        tr.w[EMIT_BLOCK_ROWS - 100 :] = tr.w[EMIT_BLOCK_ROWS - 100]
+        tr.stage[:] = 2
         path = tmp_path / "t.csv"
         emit_trace(tr, path)
+        assert path.read_bytes() == per_cell_csv(tr)
 
-        names, cols = zip(*tr.named_columns())
-        stage_col = len(cols) - 1
-        lines = [",".join(names)]
-        for i in range(tr.n_rows):
-            lines.append(",".join(
-                str(int(col[i])) if j == stage_col else repr(float(col[i]))
-                for j, col in enumerate(cols)
-            ))
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    @settings(max_examples=20)
+    @given(
+        n_rows=st.integers(EMIT_BLOCK_ROWS - 3, 2 * EMIT_BLOCK_ROWS + 3),
+        columns=st.lists(column_runs, min_size=1, max_size=5),
+        stage_runs=stage_value_runs,
+    )
+    def test_round_trip_of_runs_and_special_values(
+        self, tmp_path_factory, n_rows, columns, stage_runs
+    ):
+        """Columns made of runs of one value, some longer than a block,
+        with signed zeros, infinities, nan and subnormals: every cell parses
+        back to the same bits, and the file is the per-cell formatter's."""
+        tr = tiny_trace(n_rows)
+        named = tr.named_columns()
+        for k, (name, col) in enumerate(named[:-1]):
+            col[:] = from_runs(columns[k % len(columns)], n_rows)
+        tr.stage[:] = from_runs(stage_runs, n_rows)
+        path = tmp_path_factory.mktemp("emit") / "t.csv"
+        emit_trace(tr, path)
+        assert path.read_bytes() == per_cell_csv(tr)
+        loaded = load_trace_csv(path)
+        for name, col in named[:-1]:
+            bits = np.asarray(col, dtype=float).view(np.int64)
+            np.testing.assert_array_equal(loaded[name].view(np.int64), bits, err_msg=name)
+        np.testing.assert_array_equal(loaded["stage"], tr.stage)
 
 
 class TestEmitReport:
@@ -288,6 +341,26 @@ class TestMain:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o1")]) == 2
         assert main(["--cases", "a", "--seed", "-1", "--out", str(tmp_path / "o2")]) == 2
         assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
+
+    @pytest.mark.parametrize(
+        "text", ["gamma_w = NaN", "m = Infinity", "h = -Infinity", "rho = NaN"]
+    )
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys, text):
+        """NaN and Infinity parse as JSON numbers; they are config errors,
+        not failures in the middle of a run."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"cases = a\nh = 0.01\n{text}\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert "finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    def test_non_finite_step_on_command_line_exits_2(self, tmp_path, capsys, h):
+        out = tmp_path / "o"
+        assert main(["--cases", "a", "--h", h, "--out", str(out)]) == 2
+        assert "h must be a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_case_failing_mid_run_exits_1_without_report(self, tmp_path, capsys):
         """At h = 0.05 case a runs to the end and case b's state escapes in

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adaptive_fbl.concurrent_learning import (
     HistoryStack,
@@ -176,6 +178,37 @@ class TestHistoryStack:
                 for rec, (phi_r, xdot_r, u_r) in zip(stack.records, reference):
                     assert np.array_equal(rec.phi, phi_r)
                     assert (rec.xdot_n, rec.u) == (xdot_r, u_r)
+
+
+entry = st.floats(-10.0, 10.0)
+offers = st.lists(st.tuples(st.lists(entry, min_size=3, max_size=3), entry, entry), max_size=20)
+
+
+class TestHistoryStackProperties:
+    @settings(max_examples=60)
+    @given(capacity=st.integers(1, 5), offers=offers)
+    # rank 2 with a last singular value of 1e-14, under the rank tolerance
+    # that the 100 sets; swapping the 100 for 1e-15 makes rank 3 at 1e-15
+    @example(3, [([100.0, 0.0, 0.0], 0.0, 0.0), ([0.0, 1.0, 0.0], 0.0, 0.0),
+                 ([0.0, 0.0, 1e-14], 0.0, 0.0), ([1e-15, 0.0, 0.0], 0.0, 0.0)])
+    def test_cached_sums_and_sigma_over_any_offers(self, capacity, offers):
+        """After every offer the cached gram and phi_rhs are the sums of
+        phi phi.T and phi (xdot_n - u) over the stored records, and once the
+        stack is full its min_singular_value never decreases."""
+        stack = HistoryStack(capacity)
+        full_sigma = None
+        for phi, xdot_n, u in offers:
+            stack.try_record(phi, xdot_n, u)
+            gram = sum(np.outer(r.phi, r.phi) for r in stack.records)
+            rhs = sum(r.phi * (r.xdot_n - r.u) for r in stack.records)
+            sizes = [np.abs(r.phi).sum() for r in stack.records]
+            scale = sum(a * (a + abs(r.xdot_n - r.u)) for a, r in zip(sizes, stack.records))
+            np.testing.assert_allclose(stack.gram, gram, rtol=0, atol=1e-14 * scale)
+            np.testing.assert_allclose(stack.phi_rhs, rhs, rtol=0, atol=1e-14 * scale)
+            if len(stack) == capacity:
+                if full_sigma is not None:
+                    assert stack.min_singular_value >= full_sigma
+                full_sigma = stack.min_singular_value
 
 
 def per_slot_try_record(records, capacity, phi, xdot_n, u):

@@ -6,7 +6,6 @@ from adaptive_fbl.controller import (
     closed_loop_matrix,
     compute_control,
     compute_P,
-    robustness_term,
     weighting_matrix,
 )
 from adaptive_fbl.errors import NotHurwitzError
@@ -43,7 +42,15 @@ class TestComputeP:
             compute_P(benchmark_cfg(gains=np.array([-1.0, -1.0])))
 
 
+def robustness_term(p, e, m, rho):
+    """The robustness component of the control law alone: no model term,
+    no feedforward and no GP term."""
+    return compute_control(benchmark_cfg(m=m, rho=rho), p, np.zeros(3), np.zeros(3), e, 0.0).u_rob
+
+
 class TestRobustnessTerm:
+    """The boundary-layer robustness term, as compute_control forms it."""
+
     P = np.array([[1.025, 0.025], [0.025, 0.02625]])
 
     def test_zero_error(self):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from adaptive_fbl import simulator
 from adaptive_fbl.concurrent_learning import LearnerConfig
-from adaptive_fbl.controller import ControllerConfig, compute_P
+from adaptive_fbl.controller import ControllerConfig, compute_P, weighting_matrix
 from adaptive_fbl.errors import NonFiniteValueError, StateEscapeError
+from adaptive_fbl.numerics import quad_form
 from adaptive_fbl.plant import Plant, benchmark_plant, integrator_chain
 from adaptive_fbl.simulator import (
     CASE_FLAGS,
@@ -20,6 +21,7 @@ from adaptive_fbl.simulator import (
     run_case,
     scenario_for_case,
     stage_masks,
+    stage_rows,
 )
 
 W_STAR = np.array([1.0, -1.0, 0.5])
@@ -120,6 +122,18 @@ class TestTraceContracts:
             tr = case_trace(case_runs, cid)
             assert np.max(np.abs(tr.u_rob)) <= 1.0 + 1e-15
 
+    def test_float_columns_are_views_of_one_buffer(self, case_runs):
+        """run_case stores each row once; the trace's float columns view
+        that one buffer instead of holding copies of it (only V, Vdot and
+        the stage column are arrays of their own)."""
+        tr = case_trace(case_runs, "e")
+        own = {"V", "Vdot", "stage"}
+        cols = [col for name, col in tr.named_columns() if name not in own]
+        bases = {id(col.base) for col in cols}
+        assert len(bases) == 1 and cols[0].base is not None
+        base = cols[0].base
+        assert all(np.shares_memory(col, base) for col in cols)
+
     def test_stage_column(self, case_runs):
         tr = case_trace(case_runs, "e")
         i = np.arange(tr.n_rows)
@@ -159,9 +173,8 @@ class TestStageGating:
 
 def assert_stage_clock(tr, scn):
     """Stage column, disturbance, learning and compensation all switch on
-    the rows i1 = round(t1/h) and i2 = round(t2/h)."""
-    i1 = int(round(scn.t1 / scn.h))
-    i2 = int(round(scn.t2 / scn.h))
+    the rows (i1, i2) = stage_rows(t1, t2, h)."""
+    i1, i2 = stage_rows(scn.t1, scn.t2, scn.h)
     i = np.arange(tr.n_rows)
     np.testing.assert_array_equal(tr.stage, np.where(i < i1, 1, np.where(i < i2, 2, 3)))
     quiet = tr.stage == 1
@@ -212,7 +225,7 @@ class TestStageClock:
             scn = scenario_for_case(cid, h=h, t1=t1, t2=t1 + gap, duration=duration)
             tr, _ = run_case(scn, oracle_gp=scn.gp_enabled)
             assert_stage_clock(tr, scn)
-            i2 = int(round(scn.t2 / h))
+            _, i2 = stage_rows(scn.t1, scn.t2, h)
             if scn.gp_enabled and i2 < tr.n_rows:
                 assert tr.u_gp[i2] != 0.0
 
@@ -360,15 +373,35 @@ class TestMetrics:
 
 
 class TestLyapunovMonitor:
+    """The monitor runs once over a whole trace, on arrays of rows."""
+
     def test_zero_error(self):
         p = np.array([[1.025, 0.025], [0.025, 0.02625]])
         s = np.eye(2)
-        v, vdot = lyapunov_monitor(p, s, np.zeros(2), 0.0, 0.0)
-        assert v == 0.0 and vdot == 0.0
+        v, vdot = lyapunov_monitor(p, s, np.zeros((4, 2)), np.zeros(4), np.zeros(4))
+        assert np.all(v == 0.0) and np.all(vdot == 0.0)
 
     def test_scalar_quadratic_form(self):
-        v, _ = lyapunov_monitor(np.array([[0.5]]), np.array([[1.0]]), np.array([2.0]), 0.0, 0.0)
-        assert v == 2.0
+        e = np.array([[2.0], [-1.0], [0.5]])
+        v, _ = lyapunov_monitor(np.array([[0.5]]), np.array([[1.0]]), e, np.zeros(3), np.zeros(3))
+        np.testing.assert_array_equal(v, [2.0, 0.5, 0.125])
+
+    def test_case_e_columns_match_row_by_row_formulas(self, case_runs):
+        """V has the bits of a per-row quad_form; Vdot is -e'Se + 2 s
+        (bracket + u_rob) with the bracket rebuilt from the trace's own
+        columns, the measured xdot_n being w*.phi(x) + u_total + d_true."""
+        tr = case_trace(case_runs, "e")
+        cfg = ControllerConfig(gains=np.array([20.0, 20.0]))
+        p = compute_P(cfg).tolist()
+        s_tilde = weighting_matrix(cfg)
+        v_rows = np.array([quad_form(p, e) for e in tr.e.tolist()])
+        np.testing.assert_array_equal(tr.v, v_rows)
+
+        xdot_n = benchmark_phi(tr.x) @ W_STAR + tr.u_total + tr.d_true
+        bracket = -tr.u_fbl + tr.u_total + tr.u_gp - xdot_n
+        s_var = tr.e @ np.array(p[-1])
+        vdot = -np.einsum("ij,jk,ik->i", tr.e, s_tilde, tr.e) + 2.0 * s_var * (bracket + tr.u_rob)
+        assert np.max(np.abs(tr.vdot - vdot)) <= 1e-9
 
     def test_negative_rate_when_gain_dominates(self, case_runs):
         """Wherever the robustness gain dominates the measured residual and
