@@ -63,9 +63,6 @@ class ReferenceModel:
     """Reference trajectory t -> (x_ref, xdot_n_ref).
 
     Component i+1 of x_ref must be the time derivative of component i.
-    trajectory must be a pure function of t: the simulator evaluates it
-    once per distinct time and reuses the result for every evaluation at
-    that time (RK4's two midpoint stages, and a row after the step's end).
     """
 
     trajectory: Callable[[float], tuple[Sequence[float], float]]

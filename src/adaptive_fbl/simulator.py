@@ -314,17 +314,17 @@ def run_case(
 
     rows = n_steps + 1
     # Row i of the run, stored with one assignment: t, x, x_ref, e, the
-    # ControlBreakdown fields in their order, w, gp_mean, gp_var, d_true
-    # and the row's bracket for the monitor. The trace's float columns are
-    # views of this buffer, never copies of it.
-    buf = np.empty((rows, 3 * n + m_dim + 11))
+    # ControlBreakdown fields in their order, w, and gp_mean, gp_var,
+    # d_true and the row's bracket for the monitor. The trace's float
+    # columns are views of this buffer, never copies of it.
+    widths = [1, n, n, n, len(ControlBreakdown._fields), m_dim, 4]
+    buf = np.empty((rows, sum(widths)))
 
     x = [0.0] * n
     w = w0.tolist()
     check_regressor_shape(plant, x)
     no_learning = [0.0] * m_dim
     running_mismatch = 0.0
-    ref_t = ref = None  # the last time the reference was evaluated at, and its value
 
     def evaluate(t, x, w, m_value, row):
         """The closed loop at (t, x, w) under the current step's flags:
@@ -334,11 +334,7 @@ def run_case(
         the GP term comes with its posterior variance; inside integrator
         stages only the mean is needed.
         """
-        nonlocal ref_t, ref
-        # k2 and k3 share t + h/2, and a row's t is most often k4's t + h
-        if t != ref_t:
-            ref_t, ref = t, reference.trajectory(t)
-        x_ref, xdot_n_ref = ref
+        x_ref, xdot_n_ref = reference.trajectory(t)
         e = list(map(sub, x_ref, x))
         phi = eval_regressor(plant, x)
         d = plant.disturbance(t, x) if disturbed else 0.0
@@ -421,7 +417,7 @@ def run_case(
             )
 
     t_col, x_col, x_ref_col, e_col, bd_cols, w_col, rest = np.split(
-        buf, np.cumsum([1, n, n, n, len(ControlBreakdown._fields), m_dim]), axis=1
+        buf, np.cumsum(widths[:-1]), axis=1
     )
     u_fbl, u_sfb, u_ref, u_gp, u_rob, u_total = bd_cols.T
     gp_mean, gp_var, d_true, bracket = rest.T
