@@ -16,12 +16,19 @@ matrix is not invertible reliably enough for online use.
 
 Predictions read a snapshot frozen at the last fit, so observations can
 stream in between refits without perturbing the controller mid-step.
+
+The optimizer starts are independent, since the likelihood is multimodal,
+so a fit can ascend some of them in forked worker processes (fit_workers)
+while the calling process ascends the rest. The results come back in start
+order and the winner is picked as in-process, so every fit is bit-identical
+whichever way its starts were dealt.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -55,6 +62,38 @@ def _lapack():
     from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
     return dpotrf, dpotri, dpotrs, dtrsv
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fit_workers(starts: int):
+    """A concurrent.futures.ProcessPoolExecutor of min(starts, usable_cpus())
+    - 1 forked processes for GpModel.fit to ascend optimizer starts in, or
+    None when that is no process or the platform cannot fork.
+
+    The workers are processes, not threads, because scipy's LAPACK wrappers
+    (dpotrf, dpotri) hold the interpreter lock. They are forked, after scipy has loaded here, so each
+    inherits scipy instead of spending 0.3 s importing it. The pool forks
+    them at its first task, before it starts its own threads. The caller
+    shuts the pool down.
+    """
+    count = min(starts, usable_cpus()) - 1
+    if count < 1:
+        return None
+    # imported here: concurrent.futures.process costs about 40 ms, which a
+    # run without a multi-start fit should not pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    _lapack()
+    return ProcessPoolExecutor(count, mp_context=multiprocessing.get_context("fork"))
 
 
 @dataclass(frozen=True)
@@ -141,7 +180,7 @@ class _Likelihood:
     def __init__(self, x: np.ndarray, y: np.ndarray):
         if not np.all(np.isfinite(y)):
             raise NonFiniteValueError("training targets contain inf or nan")
-        self.y = y
+        self.x, self.y = x, y
         cols = x.T
         diff = cols[:, :, None] - cols[:, None, :]
         self.sqdiff = diff * diff  # (dim, n, n)
@@ -203,6 +242,76 @@ class _Likelihood:
         return np.array(grads)
 
 
+def _clamp(theta: np.ndarray, sigma_n_floor: float) -> np.ndarray:
+    lo = np.full(theta.shape, -LOG_BOUND)
+    lo[-1] = math.log(sigma_n_floor)  # the noise floor, not the generic bound
+    return np.clip(theta, lo, LOG_BOUND)
+
+
+def _ascend(lml: _Likelihood, theta: np.ndarray, sigma_n_floor: float) -> tuple[float, np.ndarray] | None:
+    """Backtracking gradient ascent from one start; None if it never
+    produced a positive-definite kernel matrix.
+
+    Steps follow the normalized gradient and are clamped to the
+    bounds; the trial step is halved on rejection and doubled (up to 1)
+    after acceptance. The ascent stops when the trial step falls below
+    STEP_TOL, when every gradient component is below 1e-8, or after
+    MAX_ITER accepted steps. Line-search candidates only evaluate the
+    likelihood value; the gradient is computed once per accepted point.
+
+    The stop is not a stationarity test, and the direction is not
+    always uphill. On smooth windows the noise scale ends at its floor,
+    where the jitter is as large as sigma_n^2. The gradient holds the
+    jitter constant, so there its sigma_f component can be wrong in
+    sign: on case e's first fit at h = 0.01 with a 200-point window it
+    reads +8.50 where the likelihood's slope is -12.82. Trial steps
+    along such a direction are rejected until the step falls below
+    STEP_TOL, so a start can stop with its gradient far from zero.
+    """
+    theta = _clamp(theta.copy(), sigma_n_floor)
+    hyper = Hyperparams.from_log_vector(theta)
+    try:
+        ev = lml.evaluate(hyper)
+    except NotPositiveDefiniteError:
+        return None
+    value = ev.value
+    grad = lml.gradient(hyper, ev)
+    step = 0.5
+    for _ in range(MAX_ITER):
+        gnorm = float(np.linalg.norm(grad))
+        if np.max(np.abs(grad)) < 1e-8:
+            break
+        direction = grad / gnorm
+        moved = False
+        while step > STEP_TOL:
+            cand = _clamp(theta + step * direction, sigma_n_floor)
+            hyper_cand = Hyperparams.from_log_vector(cand)
+            try:
+                ev = lml.evaluate(hyper_cand)
+            except NotPositiveDefiniteError:
+                step *= 0.5
+                continue
+            if ev.value > value:
+                theta, value = cand, ev.value
+                grad = lml.gradient(hyper_cand, ev)
+                moved = True
+                step = min(2.0 * step, 1.0)
+                break
+            step *= 0.5
+        if not moved:
+            break
+    return value, theta
+
+
+def _ascend_starts(
+    x: np.ndarray, y: np.ndarray, starts: list[np.ndarray], sigma_n_floor: float
+) -> list[tuple[float, np.ndarray] | None]:
+    """_ascend from each start on the window (x, y): the task a fit hands a
+    worker process."""
+    lml = _Likelihood(x, y)
+    return [_ascend(lml, theta, sigma_n_floor) for theta in starts]
+
+
 def log_marginal_likelihood(
     x: np.ndarray, y: np.ndarray, hyper: Hyperparams
 ) -> tuple[float, np.ndarray]:
@@ -252,6 +361,10 @@ class GpModel:
         self._snap_chol: np.ndarray | None = None
         self._snap_alpha: np.ndarray | None = None
         self._snap_hyper: Hyperparams | None = None
+        # an executor from fit_workers whose processes ascend some of each
+        # fit's starts, or None to ascend all of them here; its owner shuts
+        # it down
+        self.workers = None
 
     @classmethod
     def from_config(cls, cfg: GpConfig, seed: int = 0) -> "GpModel":
@@ -286,65 +399,6 @@ class GpModel:
             self._inputs.pop(0)
             self._targets.pop(0)
 
-    def _clamp(self, theta: np.ndarray) -> np.ndarray:
-        lo = np.full(theta.shape, -LOG_BOUND)
-        lo[-1] = math.log(self.sigma_n_floor)  # the noise floor, not the generic bound
-        return np.clip(theta, lo, LOG_BOUND)
-
-    def _ascend(self, lml: _Likelihood, theta: np.ndarray) -> tuple[float, np.ndarray] | None:
-        """Backtracking gradient ascent from one start; None if it never
-        produced a positive-definite kernel matrix.
-
-        Steps follow the normalized gradient and are clamped to the
-        bounds; the trial step is halved on rejection and doubled (up to 1)
-        after acceptance. The ascent stops when the trial step falls below
-        STEP_TOL, when every gradient component is below 1e-8, or after
-        MAX_ITER accepted steps. Line-search candidates only evaluate the
-        likelihood value; the gradient is computed once per accepted point.
-
-        The stop is not a stationarity test, and the direction is not
-        always uphill. On smooth windows the noise scale ends at its floor,
-        where the jitter is as large as sigma_n^2. The gradient holds the
-        jitter constant, so there its sigma_f component can be wrong in
-        sign: on case e's first fit at h = 0.01 with a 200-point window it
-        reads +8.50 where the likelihood's slope is -12.82. Trial steps
-        along such a direction are rejected until the step falls below
-        STEP_TOL, so a start can stop with its gradient far from zero.
-        """
-        theta = self._clamp(theta.copy())
-        hyper = Hyperparams.from_log_vector(theta)
-        try:
-            ev = lml.evaluate(hyper)
-        except NotPositiveDefiniteError:
-            return None
-        value = ev.value
-        grad = lml.gradient(hyper, ev)
-        step = 0.5
-        for _ in range(MAX_ITER):
-            gnorm = float(np.linalg.norm(grad))
-            if np.max(np.abs(grad)) < 1e-8:
-                break
-            direction = grad / gnorm
-            moved = False
-            while step > STEP_TOL:
-                cand = self._clamp(theta + step * direction)
-                hyper_cand = Hyperparams.from_log_vector(cand)
-                try:
-                    ev = lml.evaluate(hyper_cand)
-                except NotPositiveDefiniteError:
-                    step *= 0.5
-                    continue
-                if ev.value > value:
-                    theta, value = cand, ev.value
-                    grad = lml.gradient(hyper_cand, ev)
-                    moved = True
-                    step = min(2.0 * step, 1.0)
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        return value, theta
-
     def _start_points(self, lml: _Likelihood, n_ls: int) -> list[np.ndarray]:
         incumbent = self.hyper.log_vector()
         if incumbent.size != n_ls + 2:
@@ -370,9 +424,10 @@ class GpModel:
             points.append(theta)
         return points
 
-    def refresh(self, hyper: Hyperparams | None = None) -> "GpModel":
+    def refresh(self, hyper: Hyperparams | None = None, lml: _Likelihood | None = None) -> "GpModel":
         """Rebuild the prediction snapshot on the current window at hyper
-        (default: the incumbent), which becomes the incumbent.
+        (default: the incumbent), which becomes the incumbent. lml is the
+        window's likelihood, when the caller (fit) has built it already.
 
         Raises NotPositiveDefiniteError, keeping the previous
         hyperparameters and snapshot, if the training matrix fails its
@@ -381,10 +436,11 @@ class GpModel:
         if not self._targets:
             raise ValueError("refresh requires at least 1 training point")
         hyper = self.hyper if hyper is None else hyper
-        x = np.array(self._inputs)
-        ev = _Likelihood(x, np.array(self._targets)).evaluate(hyper)
+        if lml is None:
+            lml = _Likelihood(np.array(self._inputs), np.array(self._targets))
+        ev = lml.evaluate(hyper)
         self.hyper = hyper
-        self._snap_x = x
+        self._snap_x = lml.x
         self._snap_chol = ev.chol
         self._snap_alpha = ev.alpha
         self._snap_hyper = hyper
@@ -397,6 +453,12 @@ class GpModel:
         fit never ends below the incumbent's likelihood. Raises
         AllStartsFailedError (keeping the previous state) if no start
         yields a positive-definite kernel matrix.
+
+        With workers, the starts are dealt round-robin over p =
+        min(starts, usable_cpus()) chunks: this process ascends chunk 0
+        while the workers ascend the others. An exception in a worker's
+        chunk is raised here with its own type, and a worker that dies
+        raises concurrent.futures.process.BrokenProcessPool.
         """
         if len(self._targets) < 2:
             raise ValueError("fit requires at least 2 training points")
@@ -404,14 +466,22 @@ class GpModel:
         lml = _Likelihood(x, np.array(self._targets))
         n_ls = x.shape[1] if self.per_dim_lengthscale else 1
 
+        starts = self._start_points(lml, n_ls)
+        floor = self.sigma_n_floor
+        p = 1 if self.workers is None else min(len(starts), usable_cpus())
+        chunks = [self.workers.submit(_ascend_starts, x, lml.y, starts[k::p], floor) for k in range(1, p)]
+        results = [None] * len(starts)
+        results[::p] = [_ascend(lml, theta, floor) for theta in starts[::p]]
+        for k, chunk in enumerate(chunks, 1):
+            results[k::p] = chunk.result()
+
         best: tuple[float, np.ndarray] | None = None
-        for theta0 in self._start_points(lml, n_ls):
-            result = self._ascend(lml, theta0)
+        for result in results:
             if result is not None and (best is None or result[0] > best[0]):
                 best = result
         if best is None:
             raise AllStartsFailedError("no optimizer start produced a usable kernel matrix")
-        return self.refresh(Hyperparams.from_log_vector(best[1]))
+        return self.refresh(Hyperparams.from_log_vector(best[1]), lml)
 
     def _k_star(self, x_star: np.ndarray) -> np.ndarray:
         """Covariances between the snapshot inputs and one query state.

@@ -50,7 +50,7 @@ from .controller import (
     weighting_matrix,
 )
 from .errors import NonFiniteValueError, StateEscapeError
-from .gp import GpConfig, GpModel, training_target
+from .gp import GpConfig, GpModel, fit_workers, training_target
 from .numerics import dot, quad_form, rk4_step
 from .plant import (
     Plant,
@@ -363,58 +363,65 @@ def run_case(
         return xdot_s + weight_rate(ws, phi_s, e_s)
 
     prev_xn = None
-    for i in range(rows):
-        t = i * h
+    try:
+        for i in range(rows):
+            t = i * h
 
-        # The one stage clock: the row, its records and samples, and every
-        # RK4 evaluation of the step that starts here read these flags.
-        stage = 1 if i < i1 else (2 if i < i2 else 3)
-        learning = scenario.cl_enabled and stage == 1
-        disturbed = scenario.disturbed and stage > 1
-        compensating = scenario.gp_enabled and stage == 3
+            # The one stage clock: the row, its records and samples, and every
+            # RK4 evaluation of the step that starts here read these flags.
+            stage = 1 if i < i1 else (2 if i < i2 else 3)
+            learning = scenario.cl_enabled and stage == 1
+            disturbed = scenario.disturbed and stage > 1
+            compensating = scenario.gp_enabled and stage == 3
 
-        if model is not None and stage == 3 and (i - i2) % refit_every == 0 and len(model) >= 2:
-            model.fit()
+            if model is not None and stage == 3 and (i - i2) % refit_every == 0 and len(model) >= 2:
+                if not model.fitted:  # the run's first fit starts its workers
+                    model.workers = fit_workers(model.starts + 1)
+                model.fit()
 
-        m_value = cfg.m
-        if cfg.m_auto:
-            m_value = min(max(1.1 * running_mismatch, 0.1), 10.0)
+            m_value = cfg.m
+            if cfg.m_auto:
+                m_value = min(max(1.1 * running_mismatch, 0.1), 10.0)
 
-        x_ref, e, phi, gp_var, bd, xdot, d = evaluate(t, x, w, m_value, row=True)
+            x_ref, e, phi, gp_var, bd, xdot, d = evaluate(t, x, w, m_value, row=True)
 
-        if derivative_mode == "fd" and prev_xn is not None:
-            xdot_n_meas = (x[-1] - prev_xn) / h
-        else:
-            xdot_n_meas = xdot[-1]
-        # -u_fbl is w . phi
-        bracket = -bd.u_fbl + bd.u_total + bd.u_gp - xdot_n_meas
-        buf[i] = [t, *x, *x_ref, *e, *bd, *w, bd.u_gp, gp_var, d, bracket]
+            if derivative_mode == "fd" and prev_xn is not None:
+                xdot_n_meas = (x[-1] - prev_xn) / h
+            else:
+                xdot_n_meas = xdot[-1]
+            # -u_fbl is w . phi
+            bracket = -bd.u_fbl + bd.u_total + bd.u_gp - xdot_n_meas
+            buf[i] = [t, *x, *x_ref, *e, *bd, *w, bd.u_gp, gp_var, d, bracket]
 
-        running_mismatch = max(running_mismatch, abs(bracket))
+            running_mismatch = max(running_mismatch, abs(bracket))
 
-        if learning and i % rec_every == 0:
-            stack.try_record(phi, xdot_n_meas, bd.u_total)
-        if model is not None and stage > 1 and (i - i1) % samp_every == 0:
-            model.observe(x, target_sign * training_target(xdot_n_meas, w, phi, bd.u_total))
+            if learning and i % rec_every == 0:
+                stack.try_record(phi, xdot_n_meas, bd.u_total)
+            if model is not None and stage > 1 and (i - i1) % samp_every == 0:
+                model.observe(x, target_sign * training_target(xdot_n_meas, w, phi, bd.u_total))
 
-        if i < n_steps:
-            prev_xn = x[-1]
-            z = x + w
-            k1 = xdot + weight_rate(w, phi, e)
-            z_next = rk4_step(derivative, t, z, h)
-            x, w = z_next[:n], z_next[n:]
-            # the run's one state check per step; nan fails the first test
-            finite = all(map(math.isfinite, z_next))
-            if not finite or max(map(abs, x)) > STATE_ESCAPE_LIMIT:
-                where = f"in the step from t={t:g} to t={t + h:g}: "
-                where += f"last finite state (x, w) = {z}, result {z_next}"
-                if finite:
-                    raise StateEscapeError(f"state left |x| <= {STATE_ESCAPE_LIMIT:g} {where}")
-                raise NonFiniteValueError(f"state turned inf or nan {where}")
-        elif not all(map(math.isfinite, xdot)):  # no step follows the final row
-            raise NonFiniteValueError(
-                f"inf or nan on the final row at t={t:g}: (x, w) = {x + w}, xdot = {xdot}"
-            )
+            if i < n_steps:
+                prev_xn = x[-1]
+                z = x + w
+                k1 = xdot + weight_rate(w, phi, e)
+                z_next = rk4_step(derivative, t, z, h)
+                x, w = z_next[:n], z_next[n:]
+                # the run's one state check per step; nan fails the first test
+                finite = all(map(math.isfinite, z_next))
+                if not finite or max(map(abs, x)) > STATE_ESCAPE_LIMIT:
+                    where = f"in the step from t={t:g} to t={t + h:g}: "
+                    where += f"last finite state (x, w) = {z}, result {z_next}"
+                    if finite:
+                        raise StateEscapeError(f"state left |x| <= {STATE_ESCAPE_LIMIT:g} {where}")
+                    raise NonFiniteValueError(f"state turned inf or nan {where}")
+            elif not all(map(math.isfinite, xdot)):  # no step follows the final row
+                raise NonFiniteValueError(
+                    f"inf or nan on the final row at t={t:g}: (x, w) = {x + w}, xdot = {xdot}"
+                )
+    finally:
+        # the run owns its fit workers: no process or thread outlives it
+        if model is not None and model.workers is not None:
+            model.workers.shutdown(cancel_futures=True)
 
     t_col, x_col, x_ref_col, e_col, bd_cols, w_col, rest = np.split(
         buf, np.cumsum(widths[:-1]), axis=1

@@ -1,6 +1,6 @@
-"""scipy stays off the import path until the first GP fit, and the CLI
-starts the BLAS scipy loads with one thread unless the caller chose a
-count.
+"""scipy stays off the import path until the first GP fit, the process
+pool's modules until a fit with two or more starts, and the CLI starts the
+BLAS scipy loads with one thread unless the caller chose a count.
 
 The behavioural tests run in fresh interpreters whose environment has no
 thread variable, since this test process has already loaded numpy and
@@ -22,13 +22,19 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TASKS = "/proc/self/task"  # one entry per OS thread on Linux
 
 SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+# the modules a fit's worker processes need; concurrent.futures.process
+# alone takes about 40 ms to import
+POOL_ROOTS = ("multiprocessing", "concurrent")
+POOL_LOADED = f"sorted(m for m in sys.modules if m.split('.')[0] in {POOL_ROOTS!r})"
 
-# a short case e: GP fits happen, but on small windows from one start
-GP_CONFIG = "cases = e\nh = 0.02\ngp_window = 10\ngp_starts = 0\n"
+# a short case e: GP fits happen, but on small windows from one start, or
+# from three with gp_starts = 2 (forked workers, given two usable CPUs)
+GP_CONFIG = "cases = e\nh = 0.02\ngp_window = 10\ngp_starts = {starts}\n"
 
 
-def module_level_scipy_imports(tree: ast.Module) -> list[int]:
-    """Line numbers of scipy imports outside any function body."""
+def module_level_imports(tree: ast.Module, roots: tuple[str, ...] = ("scipy",)) -> list[int]:
+    """Line numbers of imports from the packages roots (default: scipy)
+    outside any function body."""
     lines, pending = [], list(tree.body)
     while pending:
         node = pending.pop()
@@ -41,9 +47,18 @@ def module_level_scipy_imports(tree: ast.Module) -> list[int]:
         else:
             pending.extend(ast.iter_child_nodes(node))
             continue
-        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+        if any(name.split(".")[0] in roots for name in names):
             lines.append(node.lineno)
     return sorted(lines)
+
+
+def package_imports(roots: tuple[str, ...]) -> dict[str, list[int]]:
+    """{file name: lines} of the package's module-level imports from roots."""
+    return {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := module_level_imports(ast.parse(path.read_text(), filename=str(path)), roots))
+    }
 
 
 def run_child(code: str, tmp_path, **env_vars) -> list:
@@ -63,12 +78,15 @@ def run_child(code: str, tmp_path, **env_vars) -> list:
 def test_no_module_imports_scipy_at_module_level():
     """A top-of-file scipy import would put 0.4 s and 27 MB back on every
     run's start and load scipy's BLAS before the CLI sets its threads."""
-    found = {
-        path.name: lines
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (lines := module_level_scipy_imports(ast.parse(path.read_text(), filename=str(path))))
-    }
+    found = package_imports(("scipy",))
     assert found == {}, f"module-level scipy imports (file: lines): {found}"
+
+
+def test_no_module_imports_the_process_pool_at_module_level():
+    """multiprocessing and concurrent.futures load where a fit first asks
+    for workers, so a run without a multi-start fit never pays for them."""
+    found = package_imports(POOL_ROOTS)
+    assert found == {}, f"module-level pool imports (file: lines): {found}"
 
 
 def test_guard_sees_nested_and_ignores_function_imports():
@@ -78,38 +96,50 @@ def test_guard_sees_nested_and_ignores_function_imports():
         "def f():\n    import scipy\n"
         "class C:\n    import scipy.linalg as la\n"
         "import scipyish\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "import multiprocessing.context\n"
     )
-    assert module_level_scipy_imports(tree) == [3, 9]
+    assert module_level_imports(tree) == [3, 9]
+    assert module_level_imports(tree, POOL_ROOTS) == [11, 12]
 
 
 def test_cli_import_and_gp_free_case_leave_scipy_unloaded(tmp_path):
     result = run_child(
         "import json, sys\n"
         "import adaptive_fbl.cli\n"
-        f"after_import = {SCIPY_LOADED}\n"
+        f"after_import = [{SCIPY_LOADED}, {POOL_LOADED}]\n"
         "from adaptive_fbl import run_case, scenario_for_case\n"
         "run_case(scenario_for_case('b', duration=1.0, t1=0.5, t2=0.8, h=0.01))\n"
-        f"print(json.dumps([after_import, {SCIPY_LOADED}]))\n",
+        f"print(json.dumps([after_import, [{SCIPY_LOADED}, {POOL_LOADED}]]))\n",
         tmp_path,
     )
-    assert result == [False, False]
+    assert result == [[False, []], [False, []]]
 
 
 @pytest.mark.parametrize("preset", [None, "3"])
 def test_cli_sets_one_blas_thread_unless_preset(tmp_path, preset):
-    (tmp_path / "gp.cfg").write_text(GP_CONFIG + f"out = {tmp_path / 'out'}\n")
+    for starts in (0, 2):
+        (tmp_path / f"gp{starts}.cfg").write_text(
+            GP_CONFIG.format(starts=starts) + f"out = {tmp_path / f'out{starts}'}\n"
+        )
     result = run_child(
         "import json, os, sys\n"
         "from adaptive_fbl.cli import main\n"
         f"threads = lambda: len(os.listdir({TASKS!r})) if os.path.isdir({TASKS!r}) else 0\n"
         "before = threads()\n"
-        "rc = main(['--config', 'gp.cfg'])\n"
-        f"print(json.dumps([rc, {SCIPY_LOADED}, os.environ.get('OPENBLAS_NUM_THREADS'),"
-        " threads() - before]))\n",
+        "runs = [[main(['--config', f'gp{s}.cfg']), threads() - before] for s in (0, 2)]\n"
+        "import multiprocessing, threading\n"
+        f"print(json.dumps([runs, {SCIPY_LOADED}, os.environ.get('OPENBLAS_NUM_THREADS'),"
+        " len(multiprocessing.active_children()), threading.active_count()]))\n",
         tmp_path,
         **({} if preset is None else {"OPENBLAS_NUM_THREADS": preset}),
     )
-    assert result[:3] == [0, True, preset or "1"]
+    (one_start, three_starts), scipy_loaded, blas_threads, children, py_threads = result
+    assert [one_start[0], three_starts[0], scipy_loaded, blas_threads] == [0, 0, True, preset or "1"]
+    # The fit workers and the pool's threads end with the run. A fork can
+    # only lower the OS count: OpenBLAS stops its own threads before a fork
+    # and starts them again at its next threaded call.
+    assert [children, py_threads] == [0, 1] and three_starts[1] <= one_start[1]
     if preset is None:
         # scipy's OpenBLAS started no worker thread when it loaded
-        assert result[3] == 0
+        assert one_start[1] == 0
