@@ -25,7 +25,7 @@ from .concurrent_learning import LearnerConfig
 from .controller import ControllerConfig, compute_P
 from .errors import ConfigError, ConfigParseError, NotHurwitzError, OutOfRangeError, UnknownKeyError
 from .gp import GpConfig
-from .plant import BENCHMARK_NAME, PLANTS, REFERENCES
+from .plant import benchmark_plant, sine_reference
 from .simulator import CASE_IDS, Metrics, Scenario, Trace, run_case, scenario_for_case
 
 
@@ -37,23 +37,20 @@ EMIT_BLOCK_ROWS = 512
 
 @dataclass
 class RunConfig:
-    """Fully resolved run settings (defaults already filled in)."""
+    """Fully resolved run settings (defaults already filled in). Each
+    field is named after its config key, so the report's config echo
+    parses back to the same settings."""
 
     cases: tuple[str, ...] = CASE_IDS
     out: str = "runs"
     seed: int = 0
     h: float = 1e-3
-    plant: str = BENCHMARK_NAME
-    reference: str = "sine"
     gains: list[float] = field(default_factory=lambda: [20.0, 20.0])
     m: float = 1.0
     rho: float = 0.01
-    q: list[list[float]] | None = None
-    r: float = 0.01
-    m_auto: bool = False
+    Q: list[list[float]] | None = None
+    R: float = 0.01
     rob_enabled: bool = True
-    cl_enabled: bool | None = None
-    gp_enabled: bool | None = None
     gamma_w: float = 3.0
     stack_capacity: int = 35
     record_period: float = 0.05
@@ -65,24 +62,12 @@ class RunConfig:
     gp_starts: int = 5
     gp_lengthscale_mode: str = "shared"
     gp_sigma_n_floor: float = 1e-4
-    paper_literal_gp_sign: bool = False
-    derivative_mode: str = "exact"
 
     def scenario(self, case_id: str) -> Scenario:
         try:
-            scn = scenario_for_case(case_id, h=self.h)
+            return scenario_for_case(case_id, h=self.h)
         except ValueError as exc:  # a step that leaves a stage without rows
             raise OutOfRangeError(str(exc)) from None
-        # cl_enabled / gp_enabled can only confirm what the case defines
-        if self.cl_enabled is not None and self.cl_enabled != scn.cl_enabled:
-            raise OutOfRangeError(
-                f"case {case_id} requires cl_enabled={str(scn.cl_enabled).lower()}"
-            )
-        if self.gp_enabled is not None and self.gp_enabled != scn.gp_enabled:
-            raise OutOfRangeError(
-                f"case {case_id} requires gp_enabled={str(scn.gp_enabled).lower()}"
-            )
-        return scn
 
     def controller_config(self) -> ControllerConfig:
         """The control-law settings, checked against the plant's order and
@@ -93,16 +78,17 @@ class RunConfig:
                 gains=np.asarray(self.gains, dtype=float),
                 m=self.m,
                 rho=self.rho,
-                q=None if self.q is None else np.asarray(self.q, dtype=float),
-                r=self.r,
+                q=None if self.Q is None else np.asarray(self.Q, dtype=float),
+                r=self.R,
                 rob_enabled=self.rob_enabled,
-                m_auto=self.m_auto,
             )
         except ValueError as exc:
             raise OutOfRangeError(str(exc)) from None
-        order = PLANTS[self.plant]().order
-        if ctl.order != order:
-            raise OutOfRangeError(f"gains has {ctl.order} entries, plant {self.plant} has order {order}")
+        plant = benchmark_plant()
+        if ctl.order != plant.order:
+            raise OutOfRangeError(
+                f"gains has {ctl.order} entries, plant {plant.name} has order {plant.order}"
+            )
         try:
             compute_P(ctl)
         except (NotHurwitzError, ValueError) as exc:
@@ -124,7 +110,6 @@ class RunConfig:
             starts=self.gp_starts,
             lengthscale_mode=self.gp_lengthscale_mode,
             sigma_n_floor=self.gp_sigma_n_floor,
-            paper_literal_sign=self.paper_literal_gp_sign,
         )
 
     def resolved_items(self) -> list[tuple[str, str]]:
@@ -230,36 +215,29 @@ def _string(name):
     return check
 
 
-# config key -> (RunConfig attribute, validator)
+# config key -> validator; the key is also the RunConfig field's name
 _KEYS = {
-    "cases": ("cases", _cases),
-    "out": ("out", _string("out")),
-    "seed": ("seed", _positive_int("seed", minimum=0)),
-    "h": ("h", _positive("h")),
-    "plant": ("plant", _choice("plant", tuple(PLANTS))),
-    "reference": ("reference", _choice("reference", tuple(REFERENCES))),
-    "gains": ("gains", _gains),
-    "m": ("m", _non_negative("m")),
-    "rho": ("rho", _positive("rho")),
-    "Q": ("q", _matrix("Q")),
-    "R": ("r", _non_negative("R")),
-    "m_auto": ("m_auto", _boolean("m_auto")),
-    "rob_enabled": ("rob_enabled", _boolean("rob_enabled")),
-    "cl_enabled": ("cl_enabled", _boolean("cl_enabled")),
-    "gp_enabled": ("gp_enabled", _boolean("gp_enabled")),
-    "gamma_w": ("gamma_w", _positive("gamma_w")),
-    "stack_capacity": ("stack_capacity", _positive_int("stack_capacity")),
-    "record_period": ("record_period", _positive("record_period")),
-    "amplitude": ("amplitude", _positive("amplitude")),
-    "omega": ("omega", _positive("omega")),
-    "gp_window": ("gp_window", _positive_int("gp_window")),
-    "gp_sample_period": ("gp_sample_period", _positive("gp_sample_period")),
-    "gp_refit_period": ("gp_refit_period", _positive("gp_refit_period")),
-    "gp_starts": ("gp_starts", _positive_int("gp_starts", minimum=0)),
-    "gp_lengthscale_mode": ("gp_lengthscale_mode", _choice("gp_lengthscale_mode", ("shared", "per_dim"))),
-    "gp_sigma_n_floor": ("gp_sigma_n_floor", _positive("gp_sigma_n_floor")),
-    "paper_literal_gp_sign": ("paper_literal_gp_sign", _boolean("paper_literal_gp_sign")),
-    "derivative_mode": ("derivative_mode", _choice("derivative_mode", ("exact", "fd"))),
+    "cases": _cases,
+    "out": _string("out"),
+    "seed": _positive_int("seed", minimum=0),
+    "h": _positive("h"),
+    "gains": _gains,
+    "m": _non_negative("m"),
+    "rho": _positive("rho"),
+    "Q": _matrix("Q"),
+    "R": _non_negative("R"),
+    "rob_enabled": _boolean("rob_enabled"),
+    "gamma_w": _positive("gamma_w"),
+    "stack_capacity": _positive_int("stack_capacity"),
+    "record_period": _positive("record_period"),
+    "amplitude": _positive("amplitude"),
+    "omega": _positive("omega"),
+    "gp_window": _positive_int("gp_window"),
+    "gp_sample_period": _positive("gp_sample_period"),
+    "gp_refit_period": _positive("gp_refit_period"),
+    "gp_starts": _positive_int("gp_starts", minimum=0),
+    "gp_lengthscale_mode": _choice("gp_lengthscale_mode", ("shared", "per_dim")),
+    "gp_sigma_n_floor": _positive("gp_sigma_n_floor"),
 }
 
 
@@ -283,9 +261,8 @@ def parse_config(text: str) -> RunConfig:
             value = json.loads(value_text)
         except json.JSONDecodeError:
             value = value_text
-        attr, validator = _KEYS[key]
         try:
-            setattr(cfg, attr, validator(value))
+            setattr(cfg, key, _KEYS[key](value))
         except OutOfRangeError as exc:
             raise OutOfRangeError(f"line {lineno}: {exc}") from None
     return cfg
@@ -388,11 +365,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output directory (default: runs)")
     parser.add_argument("--seed", type=int, help="seed for the GP optimizer starts")
     parser.add_argument("--h", type=float, help="integration step in seconds")
-    parser.add_argument(
-        "--paper-literal-gp-sign",
-        action="store_true",
-        help="train the GP on the mismatch with the literal sign (for comparison)",
-    )
     args = parser.parse_args(argv)
     # One BLAS thread unless the caller chose otherwise. The GP's 100-200
     # point factorizations gain nothing from threads, and scipy, whose BLAS
@@ -410,8 +382,6 @@ def main(argv=None) -> int:
             cfg.seed = _positive_int("seed", minimum=0)(args.seed)
         if args.h is not None:
             cfg.h = _positive("h")(args.h)
-        if args.paper_literal_gp_sign:
-            cfg.paper_literal_gp_sign = True
         # everything a case needs is resolved before the first one runs
         scenarios = [cfg.scenario(case_id) for case_id in cfg.cases]
         controller = cfg.controller_config()
@@ -422,7 +392,7 @@ def main(argv=None) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    plant = PLANTS[cfg.plant]()
+    plant = benchmark_plant()
     metrics: dict[str, Metrics] = {}
     for scenario in scenarios:
         case_id = scenario.case_id
@@ -434,9 +404,8 @@ def main(argv=None) -> int:
                 gp_cfg=cfg.gp_config(),
                 seed=cfg.seed,
                 plant=plant,
-                reference=REFERENCES[cfg.reference](cfg.amplitude, cfg.omega),
+                reference=sine_reference(cfg.amplitude, cfg.omega),
                 ref_amplitude=cfg.amplitude,
-                derivative_mode=cfg.derivative_mode,
             )
         except Exception as exc:  # noqa: BLE001 - report any failed run and stop
             print(f"case {case_id} failed: {exc}", file=sys.stderr)

@@ -56,11 +56,12 @@ class LearnerConfig:
 def stack_sigma_min(phi_matrix: np.ndarray) -> float:
     """Smallest singular value of the stacked regressors, as a map onto
     weight space: zero until the columns span all of it."""
-    return _stack_metrics(phi_matrix)[1]
+    return _stack_metrics(phi_matrix)[0][1]
 
 
-def _stack_metrics(phi_matrix: np.ndarray) -> tuple[int, float]:
-    """(rank, sigma_min) of the stacked regressor matrix.
+def _stack_metrics(phi_matrix: np.ndarray) -> tuple[tuple[int, float], float]:
+    """((rank, sigma_min), tol) of the stacked regressor matrix, where
+    singular values at or below tol count as zero.
 
     sigma_min is the m-th singular value (zero while rank < m), so it is
     exactly the square root of the smallest eigenvalue of sum phi_j phi_j.T.
@@ -68,16 +69,16 @@ def _stack_metrics(phi_matrix: np.ndarray) -> tuple[int, float]:
     polishing the already-spanned directions.
     """
     sv = np.linalg.svd(phi_matrix, compute_uv=False)
-    return _qualities(sv[None], phi_matrix.shape)[0]
+    tol = max(phi_matrix.shape) * np.finfo(float).eps * sv[0] if sv.size else 0.0
+    return _qualities(sv[None], phi_matrix.shape[0], tol)[0], tol
 
 
-def _qualities(sv: np.ndarray, shape: tuple[int, int]) -> list[tuple[int, float]]:
-    """(rank, sigma_min) of each of a batch of (m, p) matrices, from their
-    singular values, one descending row per matrix."""
-    m, p = shape
+def _qualities(sv: np.ndarray, m: int, tol: float) -> list[tuple[int, float]]:
+    """(rank, sigma_min) of each of a batch of matrices with m rows, from
+    their singular values, one descending row per matrix, with rank
+    counted against one tolerance for the whole batch."""
     if sv.shape[1] == 0:
         return [(0, 0.0)] * sv.shape[0]
-    tol = max(m, p) * np.finfo(float).eps * sv[:, :1]
     ranks = np.sum(sv > tol, axis=1)
     # below full rank the last singular value is rounding under the tolerance
     sigmas = np.where(ranks == m, sv[:, -1], 0.0)
@@ -156,14 +157,16 @@ class HistoryStack:
             return False
 
         # trials[j] is the stack with slot j holding the candidate; one
-        # batched SVD scores every slot
+        # batched SVD scores every slot. Every trial counts rank against
+        # the current stack's tolerance: against its own, a trial that
+        # drops the largest record can count a tiny direction as new rank.
         trials = np.repeat(current[None], self.capacity, axis=0)
         slots = np.arange(self.capacity)
         trials[slots, :, slots] = phi
         trial_sv = np.linalg.svd(trials, compute_uv=False)
         best_j = -1
-        best_quality = _stack_metrics(current)
-        for j, quality in enumerate(_qualities(trial_sv, current.shape)):
+        best_quality, tol = _stack_metrics(current)
+        for j, quality in enumerate(_qualities(trial_sv, current.shape[0], tol)):
             if quality > best_quality:
                 best_j = j
                 best_quality = quality

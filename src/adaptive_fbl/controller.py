@@ -42,7 +42,6 @@ class ControllerConfig:
     q: np.ndarray | None = None
     r: float = 0.01
     rob_enabled: bool = True
-    m_auto: bool = False
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=float)
@@ -105,20 +104,18 @@ def compute_control(
     e: Sequence[float],
     xdot_n_ref: float,
     gp_mean: float = 0.0,
-    m_value: float | None = None,
 ) -> ControlBreakdown:
     """Assemble the control input from the current estimates and errors.
 
-    gp_mean must be 0 when GP compensation is inactive. m_value overrides
-    the configured robustness gain (used by the auto-gain mode). p is
-    P as rows; a numpy matrix works too. The robustness term is the
+    gp_mean must be 0 when GP compensation is inactive. p is P as rows;
+    a numpy matrix works too. The robustness term is the
     boundary-layer saturation of s = b.T P e; its magnitude never
     exceeds the gain.
     """
     u_fbl = -dot(w, phi)
     u_sfb = dot(cfg.gains, e)
     if cfg.rob_enabled:
-        m = cfg.m if m_value is None else m_value
+        m = cfg.m
         s = dot(p[-1], e)  # b.T P e: the integrator chain's b picks P's last row
         rho = cfg.rho
         if abs(s) > rho:

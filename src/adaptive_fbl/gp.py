@@ -141,7 +141,6 @@ class GpConfig:
     starts: int = 5
     lengthscale_mode: str = "shared"
     sigma_n_floor: float = 1e-4
-    paper_literal_sign: bool = False
 
     def __post_init__(self):
         if self.window < 1:

@@ -132,9 +132,3 @@ def sine_reference(amplitude: float = 0.5, omega: float = 1.0, order: int = 2) -
         return chain[:order], chain[order]
 
     return ReferenceModel(trajectory=trajectory)
-
-
-# selectable by name from the config file; custom regressors and
-# trajectories are code-level extensions, not config
-PLANTS = {BENCHMARK_NAME: benchmark_plant}
-REFERENCES = {"sine": sine_reference}

@@ -258,23 +258,19 @@ def run_case(
     reference: ReferenceModel | None = None,
     ref_amplitude: float = 0.5,
     oracle_gp: bool = False,
-    derivative_mode: str = "exact",
 ) -> tuple[Trace, Metrics]:
     """Simulate one case and return its trace and metrics.
 
     Deterministic for a fixed (scenario, configs, seed): the seed only
     feeds the GP hyperparameter optimizer starts. oracle_gp replaces the
-    GP compensation with the exact residual (testing hook). With
-    derivative_mode="fd" the measured state derivative used for records,
-    GP targets, and the monitor is a backward difference instead of the
+    GP compensation with the exact residual (testing hook). The measured
+    state derivative used for records, GP targets, and the monitor is the
     exact plant evaluation.
 
     After each step the new (x, w) must be finite with every |x_i| <=
     STATE_ESCAPE_LIMIT, else StateEscapeError (finite) or NonFiniteValueError
     (inf or nan); the final row's derivative must be finite too.
     """
-    if derivative_mode not in ("exact", "fd"):
-        raise ValueError("derivative_mode must be 'exact' or 'fd'")
     if cfg is None:
         cfg = ControllerConfig()
     if learner is None:
@@ -306,7 +302,6 @@ def run_case(
     rec_every = max(1, int(round(learner.record_period / h)))
     samp_every = max(1, int(round(gp_cfg.sample_period / h)))
     refit_every = max(1, int(round(gp_cfg.refit_period / h)))
-    target_sign = -1.0 if gp_cfg.paper_literal_sign else 1.0
 
     stack = HistoryStack(learner.stack_capacity)
     lstate = LearnerState(gamma_w=learner.gamma_w, stack=stack)
@@ -324,9 +319,8 @@ def run_case(
     w = w0.tolist()
     check_regressor_shape(plant, x)
     no_learning = [0.0] * m_dim
-    running_mismatch = 0.0
 
-    def evaluate(t, x, w, m_value, row):
+    def evaluate(t, x, w, row):
         """The closed loop at (t, x, w) under the current step's flags:
         control law and plant step.
 
@@ -344,7 +338,7 @@ def run_case(
                 g = d - dot(list(map(sub, w, w_star_list)), phi)
             elif model.fitted:
                 g, g_var = model.predict(x) if row else (model.predict_mean(x), 0.0)
-        bd = compute_control(cfg, p_rows, w, phi, e, xdot_n_ref, g, m_value=m_value)
+        bd = compute_control(cfg, p_rows, w, phi, e, xdot_n_ref, g)
         xdot = plant_step(plant, x, phi, bd.u_total, d)
         return x_ref, e, phi, g_var, bd, xdot, d
 
@@ -359,10 +353,9 @@ def run_case(
         if zz is z:
             return k1
         xs, ws = zz[:n], zz[n:]
-        _, e_s, phi_s, _, _, xdot_s, _ = evaluate(tt, xs, ws, m_value, row=False)
+        _, e_s, phi_s, _, _, xdot_s, _ = evaluate(tt, xs, ws, row=False)
         return xdot_s + weight_rate(ws, phi_s, e_s)
 
-    prev_xn = None
     try:
         for i in range(rows):
             t = i * h
@@ -379,29 +372,19 @@ def run_case(
                     model.workers = fit_workers(model.starts + 1)
                 model.fit()
 
-            m_value = cfg.m
-            if cfg.m_auto:
-                m_value = min(max(1.1 * running_mismatch, 0.1), 10.0)
+            x_ref, e, phi, gp_var, bd, xdot, d = evaluate(t, x, w, row=True)
 
-            x_ref, e, phi, gp_var, bd, xdot, d = evaluate(t, x, w, m_value, row=True)
-
-            if derivative_mode == "fd" and prev_xn is not None:
-                xdot_n_meas = (x[-1] - prev_xn) / h
-            else:
-                xdot_n_meas = xdot[-1]
+            xdot_n_meas = xdot[-1]
             # -u_fbl is w . phi
             bracket = -bd.u_fbl + bd.u_total + bd.u_gp - xdot_n_meas
             buf[i] = [t, *x, *x_ref, *e, *bd, *w, bd.u_gp, gp_var, d, bracket]
 
-            running_mismatch = max(running_mismatch, abs(bracket))
-
             if learning and i % rec_every == 0:
                 stack.try_record(phi, xdot_n_meas, bd.u_total)
             if model is not None and stage > 1 and (i - i1) % samp_every == 0:
-                model.observe(x, target_sign * training_target(xdot_n_meas, w, phi, bd.u_total))
+                model.observe(x, training_target(xdot_n_meas, w, phi, bd.u_total))
 
             if i < n_steps:
-                prev_xn = x[-1]
                 z = x + w
                 k1 = xdot + weight_rate(w, phi, e)
                 z_next = rk4_step(derivative, t, z, h)

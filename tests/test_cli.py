@@ -1,9 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptive_fbl.cli import (
+    _KEYS,
     EMIT_BLOCK_ROWS,
     RunConfig,
     emit_report,
@@ -15,6 +19,7 @@ from adaptive_fbl.errors import ConfigParseError, OutOfRangeError, UnknownKeyErr
 from adaptive_fbl.simulator import Metrics, Trace
 
 W_STAR = np.array([1.0, -1.0, 0.5])
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def load_trace_csv(path) -> dict[str, np.ndarray]:
@@ -128,28 +133,24 @@ class TestParseConfig:
 
     def test_matrix_value(self):
         cfg = parse_config("Q = [[2, 0], [0, 2]]")
-        assert cfg.q == [[2.0, 0.0], [0.0, 2.0]]
+        assert cfg.Q == [[2.0, 0.0], [0.0, 2.0]]
 
     def test_boolean_value(self):
-        cfg = parse_config("m_auto = true\nrob_enabled = false")
-        assert cfg.m_auto is True
+        cfg = parse_config("rob_enabled = false")
         assert cfg.rob_enabled is False
+        with pytest.raises(OutOfRangeError):
+            parse_config("rob_enabled = 0")
 
-    def test_builtin_plant_selected_by_name(self):
-        cfg = parse_config("plant = benchmark_5717148\nreference = sine")
-        assert cfg.plant == "benchmark_5717148"
-        with pytest.raises(OutOfRangeError):
-            parse_config("plant = pendulum")
-
-    def test_flag_keys_confirm_case_profiles(self):
-        cfg = parse_config("gp_enabled = false")
-        cfg.scenario("a")  # case a is gp-off: consistent
-        with pytest.raises(OutOfRangeError):
-            cfg.scenario("e")
-        cfg2 = parse_config("cl_enabled = true")
-        cfg2.scenario("b")
-        with pytest.raises(OutOfRangeError):
-            cfg2.scenario("d")
+    def test_readme_config_table_lists_every_key(self):
+        """The backticked keys in the first column of the README's config
+        table (bracketed defaults aside) are exactly the parser's keys."""
+        section = README.read_text().split("### Config file", 1)[1].split("\n### ", 1)[0]
+        documented = []
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                first_cell = re.sub(r"\[[^\]]*\]", "", line.split("|")[1])
+                documented += re.findall(r"`([^`]+)`", first_cell)
+        assert sorted(documented) == sorted(_KEYS)
 
 
 # the special values a trace cell can hold (nan only in its one canonical
@@ -288,6 +289,20 @@ class TestEmitReport:
         assert "config gamma_w=2.5" in text
         assert "config gains=[20.0, 20.0]" in text
 
+    def test_config_echo_parses_back(self, tmp_path):
+        """The report's config lines, read as a config file, give back the
+        run's settings, so a run can be reproduced from its report."""
+        path = tmp_path / "r.txt"
+        cfg = RunConfig(cases=("a", "c"), seed=3, Q=[[2.0, 0.5], [0.5, 3.0]], R=0.02, gp_window=150)
+        emit_report({"a": metrics_for("a", 1.0, 1.0, 1.0)}, cfg, path)
+        echo = [
+            line.removeprefix("config ").replace("=", " = ", 1)
+            for line in path.read_text().splitlines()
+            if line.startswith("config ")
+        ]
+        assert len(echo) == len(_KEYS)
+        assert parse_config("\n".join(echo)) == cfg
+
 
 class TestMain:
     def test_single_case_smoke(self, tmp_path, capsys):
@@ -308,7 +323,6 @@ class TestMain:
         [
             "gains = [20, 20, 20]",  # three gains on the order-2 plant
             "Q = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]",  # 3x3 Q with two gains
-            "cases = a,e\ngp_enabled = false",  # case e defines gp_enabled = true
             "h = 25",  # round(t1 / h) == 0 leaves stage 1 without rows
         ],
     )
@@ -318,6 +332,35 @@ class TestMain:
         out = tmp_path / "o"
         assert main(["--config", str(cfg), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("paper_literal_gp_sign = true", id="paper_literal_gp_sign"),
+            pytest.param("derivative_mode = fd", id="derivative_mode"),
+            pytest.param("m_auto = true", id="m_auto"),
+            pytest.param("cl_enabled = true", id="cl_enabled"),
+            pytest.param("cases = a,e\ngp_enabled = false", id="gp_enabled"),
+            pytest.param("plant = benchmark_5717148", id="plant"),
+            pytest.param("reference = sine", id="reference"),
+        ],
+    )
+    def test_deleted_option_exits_2_before_any_case(self, tmp_path, capsys, text):
+        """Keys of removed run options are unknown keys, even where the
+        value they set is the one the run uses anyway."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"cases = a\nh = 0.01\n{text}\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deleted_flag_exits_2(self, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["--paper-literal-gp-sign", "--cases", "a", "--h", "0.01", "--out", str(out)])
+        assert exc.value.code == 2
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -135,6 +135,16 @@ class TestHistoryStack:
         assert stack.try_record(np.array([0.0, 0.0, 1.0]), 0.0, 0.0)
         assert stack.min_singular_value > before
 
+    def test_tiny_offer_does_not_displace_the_largest_record(self):
+        """Against its own largest singular value, the trial that swaps
+        [100, 0, 0] for [1e-15, 0, 0] counts rank 3; against the stack's,
+        it has rank 2 and loses the stack's best direction. It is rejected."""
+        columns = ([100.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-14])
+        stack = stack_of([record_from_truth(phi, 0.0) for phi in columns])
+        before = stack.phi_matrix.copy()
+        assert not stack.try_record(np.array([1e-15, 0.0, 0.0]), 0.0, 0.0)
+        np.testing.assert_array_equal(stack.phi_matrix, before)
+
     def test_cached_sigma_matches_recomputation(self):
         rng = np.random.default_rng(4)
         stack = HistoryStack(6)
@@ -214,11 +224,8 @@ class TestHistoryStackProperties:
 def per_slot_try_record(records, capacity, phi, xdot_n, u):
     """Reference replacement rule: one SVD per candidate slot."""
 
-    def quality(mat):
+    def quality(mat, tol):
         sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[0] == 0.0:
-            return 0, 0.0
-        tol = max(mat.shape) * np.finfo(float).eps * sv[0]
         return int(np.sum(sv > tol)), float(sv[-1]) if mat.shape[1] >= mat.shape[0] else 0.0
 
     phi = np.array(phi, dtype=float)
@@ -228,11 +235,13 @@ def per_slot_try_record(records, capacity, phi, xdot_n, u):
     if any(np.array_equal(r[0], phi) for r in records):
         return False
     trial = np.stack([r[0] for r in records], axis=1)
-    best_j, best = -1, quality(trial)
+    # every slot's rank counts against the current stack's tolerance
+    tol = max(trial.shape) * np.finfo(float).eps * np.linalg.svd(trial, compute_uv=False)[0]
+    best_j, best = -1, quality(trial, tol)
     for j in range(capacity):
         saved = trial[:, j].copy()
         trial[:, j] = phi
-        q = quality(trial)
+        q = quality(trial, tol)
         trial[:, j] = saved
         if q > best:
             best_j, best = j, q

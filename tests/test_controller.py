@@ -129,13 +129,6 @@ class TestComputeControl:
         bd = compute_control(cfg, p, W_STAR, np.ones(3), np.ones(2), 0.0)
         assert bd.u_rob == 0.0
 
-    def test_m_override_used_by_auto_gain(self):
-        cfg = benchmark_cfg()
-        p = compute_P(cfg)
-        e = np.array([0.0, 0.5])
-        bd = compute_control(cfg, p, W_STAR, np.zeros(3), e, 0.0, m_value=2.5)
-        assert bd.u_rob == -2.5
-
 
 class TestConfigValidation:
     def test_default_q_is_identity(self):

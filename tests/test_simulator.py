@@ -449,31 +449,6 @@ class TestOracleInjection:
         assert metrics.stage_error_pct[2] <= 1.1 * b_stage1
 
 
-class TestPaperLiteralSign:
-    def test_literal_target_sign_doubles_instead_of_cancelling(self):
-        """With the mismatch target's literal sign the model accurately
-        learns the negated residual, and subtracting it amplifies the
-        disturbance instead of cancelling it."""
-        from adaptive_fbl.gp import GpConfig
-
-        scn = scenario_for_case("e", h=5e-3)
-        tr, metrics = run_case(scn, gp_cfg=GpConfig(paper_literal_sign=True))
-        mask = tr.t >= 25.0
-        assert np.mean(np.abs(tr.u_gp[mask] + tr.d_true[mask])) <= 0.05
-        assert metrics.stage_error_pct[2] >= 1.0
-
-
-class TestDerivativeEstimationMode:
-    def test_backward_difference_feedback_still_converges(self):
-        trace, _ = run_case(scenario_for_case("b", duration=10.0), derivative_mode="fd")
-        final_err = np.max(np.abs(trace.w[-1] - W_STAR))
-        assert final_err <= 0.02
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_case(scenario_for_case("a", duration=1.0), derivative_mode="euler")
-
-
 class TestStateEscape:
     def test_runaway_state_aborts_with_diagnostic(self):
         runaway = Plant(
