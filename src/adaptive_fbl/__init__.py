@@ -22,6 +22,7 @@ from .errors import (
     NotPositiveDefiniteError,
     OutOfRangeError,
     StateEscapeError,
+    TraceWriteError,
     UnfittedModelError,
     UnknownKeyError,
 )
@@ -40,6 +41,7 @@ from .simulator import (
     Scenario,
     Trace,
     compute_metrics,
+    emit_trace,
     lyapunov_monitor,
     run_case,
     scenario_for_case,

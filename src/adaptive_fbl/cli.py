@@ -1,11 +1,12 @@
-"""Command-line front end: config parsing, case execution, CSV traces,
-and a line-oriented metrics report.
+"""Command-line front end: config parsing, case execution, and a
+line-oriented metrics report.
 
 Config files are `key = value` lines; values are JSON literals (numbers,
 booleans, lists) with bare words accepted as strings. Unknown keys are
 rejected. Every run writes one CSV per case plus report.txt, and the
 report embeds the fully resolved configuration so a run can be
-reproduced from the report alone.
+reproduced from the report alone. Each case's CSV is streamed by
+`run_case` while the case runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +26,18 @@ from .controller import ControllerConfig, compute_P
 from .errors import ConfigError, ConfigParseError, NotHurwitzError, OutOfRangeError, UnknownKeyError
 from .gp import GpConfig
 from .plant import benchmark_plant, sine_reference
-from .simulator import CASE_IDS, Metrics, Scenario, Trace, run_case, scenario_for_case
 
-
-# Rows per formatting block in emit_trace. A block's cell strings are all
-# alive at once: on a 30001-row, 22-column trace, 4096-row blocks raised
-# peak memory by 9 MB and 512-row blocks by under 1 MB, at the same speed.
-EMIT_BLOCK_ROWS = 512
+# emit_trace, the whole-trace CSV writer, keeps its name here for callers
+# that write a Trace they hold; main passes each case's CSV path to
+# run_case instead, which streams the file while the case runs.
+from .simulator import (  # noqa: F401
+    CASE_IDS,
+    Metrics,
+    Scenario,
+    emit_trace,
+    run_case,
+    scenario_for_case,
+)
 
 
 @dataclass
@@ -268,38 +273,6 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def emit_trace(trace: Trace, path) -> None:
-    """Write one trace as CSV: fixed column order, full-precision decimals.
-
-    Every float cell is repr(float(value)) and the stage cell str(int(value)).
-    Rows are formatted a block at a time, column by column, which keeps the
-    strings of only one block alive at once.
-    """
-    names, cols = zip(*trace.named_columns())
-    stage_col = len(cols) - 1
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for start in range(0, trace.n_rows, EMIT_BLOCK_ROWS):
-            block = slice(start, start + EMIT_BLOCK_ROWS)
-            cells = [
-                _block_cells(col[block].astype(int), str)
-                if j == stage_col
-                else _block_cells(np.asarray(col[block], dtype=float), repr)
-                for j, col in enumerate(cols)
-            ]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def _block_cells(values: np.ndarray, fmt):
-    """The cell strings of one column block of 8-byte numbers. A block whose
-    values all share one bit pattern (so 0.0 and -0.0 differ) is formatted
-    once: the zeros of an inactive term, the weights after learning stops."""
-    bits = values.view(np.int64)
-    if (bits == bits[0]).all():
-        return repeat(fmt(values[0].item()), values.size)
-    return map(fmt, values.tolist())
-
-
 def _evaluate_checks(metrics: dict[str, Metrics]) -> list[tuple[str, float, float, bool]]:
     results = []
     if "a" in metrics and "b" in metrics:
@@ -396,8 +369,9 @@ def main(argv=None) -> int:
     metrics: dict[str, Metrics] = {}
     for scenario in scenarios:
         case_id = scenario.case_id
+        csv_path = out_dir / f"case_{case_id}.csv"
         try:
-            trace, m = run_case(
+            _, m = run_case(
                 scenario,
                 cfg=controller,
                 learner=cfg.learner_config(),
@@ -406,13 +380,13 @@ def main(argv=None) -> int:
                 plant=plant,
                 reference=sine_reference(cfg.amplitude, cfg.omega),
                 ref_amplitude=cfg.amplitude,
+                csv_path=csv_path,
             )
         except Exception as exc:  # noqa: BLE001 - report any failed run and stop
             print(f"case {case_id} failed: {exc}", file=sys.stderr)
             return 1
-        emit_trace(trace, out_dir / f"case_{case_id}.csv")
         metrics[case_id] = m
-        print(f"case {case_id}: trace written to {out_dir / f'case_{case_id}.csv'}")
+        print(f"case {case_id}: trace written to {csv_path}")
 
     all_pass = emit_report(metrics, cfg, out_dir / "report.txt")
     _print_table(metrics)

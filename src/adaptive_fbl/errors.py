@@ -17,6 +17,10 @@ class StateEscapeError(Exception):
     """The simulated state left the sane operating envelope."""
 
 
+class TraceWriteError(Exception):
+    """The process writing a run's CSV trace failed."""
+
+
 class UnfittedModelError(Exception):
     """Prediction requested from a model that has never been fitted."""
 

@@ -30,14 +30,22 @@ on plain float lists; numpy holds the trace and does the per-run setup.
 Each row is stored with one assignment into one preallocated buffer,
 whose column views are the trace's arrays, and the quadratic-form
 monitor runs once over the whole trace after the last step.
+
+Given a CSV path, a run streams its trace to it: the buffer is a shared
+anonymous mapping, and a forked writer process formats each finished
+block of rows while later rows are still being stepped (`_CsvWriter`).
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import mmap
+import os
 from dataclasses import dataclass
+from itertools import repeat
 from operator import sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,7 +57,7 @@ from .controller import (
     compute_P,
     weighting_matrix,
 )
-from .errors import NonFiniteValueError, StateEscapeError
+from .errors import NonFiniteValueError, StateEscapeError, TraceWriteError
 from .gp import GpConfig, GpModel, fit_workers, training_target
 from .numerics import dot, quad_form, rk4_step
 from .plant import (
@@ -182,6 +190,166 @@ class Trace:
         return cols
 
 
+# Rows per formatting block of a CSV trace, and per message to a run's CSV
+# writer. A block's cell strings are all alive at once: on a 30001-row,
+# 22-column trace, 4096-row blocks raised peak memory by 9 MB and 512-row
+# blocks by under 1 MB, at the same speed.
+EMIT_BLOCK_ROWS = 512
+
+
+def emit_trace(trace: Trace, path) -> None:
+    """Write one trace as CSV: fixed column order, full-precision decimals.
+
+    Every float cell is repr(float(value)) and the stage cell str(int(value)).
+    Rows are formatted a block at a time, column by column, which keeps the
+    strings of only one block alive at once.
+    """
+    with open(path, "w", newline="") as fh:
+        _write_rows(fh, trace, header=True)
+
+
+def _write_rows(fh, trace: Trace, header: bool = False) -> None:
+    """Write the trace's rows as CSV lines, after the header line if asked:
+    the one formatter of `emit_trace` and of a run's CSV writer."""
+    names, cols = zip(*trace.named_columns())
+    if header:
+        fh.write(",".join(names) + "\n")
+    stage_col = len(cols) - 1
+    for start in range(0, trace.n_rows, EMIT_BLOCK_ROWS):
+        block = slice(start, start + EMIT_BLOCK_ROWS)
+        cells = [
+            _block_cells(col[block].astype(int), str)
+            if j == stage_col
+            else _block_cells(np.asarray(col[block], dtype=float), repr)
+            for j, col in enumerate(cols)
+        ]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _block_cells(values: np.ndarray, fmt):
+    """The cell strings of one column block of 8-byte numbers. A block whose
+    values all share one bit pattern (so 0.0 and -0.0 differ) is formatted
+    once: the zeros of an inactive term, the weights after learning stops."""
+    bits = values.view(np.int64)
+    if (bits == bits[0]).all():
+        return repeat(fmt(values[0].item()), values.size)
+    return map(fmt, values.tolist())
+
+
+# The last message to a CSV writer; every other message is a row count.
+_END = -1
+
+
+class _CsvWriter:
+    """A forked process that writes a run's CSV while the run steps on.
+
+    The run's row buffer is a shared anonymous mapping, so this process
+    sees every row the run stores. Each time EMIT_BLOCK_ROWS more rows are
+    stored, the run sends the count of rows stored so far down a pipe, and
+    the writer formats the rows up to it into `<path>.<pid>.tmp` next to
+    the CSV. After the last row has passed the run's checks, the run sends
+    the row count and the end marker; the writer renames the file to
+    `path` and exits, and the run reaps it before returning.
+
+    On any failure the run kills the writer and deletes the temporary
+    file itself. It never waits for the writer to see the pipe close: a
+    fit worker forked later holds the pipe's write end too.
+    """
+
+    def __init__(self, path, trace_of: Callable[[int, int], Trace]):
+        self.path = os.fspath(path)
+        self.tmp = f"{self.path}.{os.getpid()}.tmp"
+        self.sent = 0
+        counts, self.pipe = os.pipe()
+        try:
+            out = os.open(self.tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                self.pid = os.fork()
+                if self.pid == 0:
+                    self._serve(out, counts, trace_of)
+            finally:
+                os.close(out)
+        except BaseException:
+            os.close(self.pipe)
+            _remove(self.tmp)
+            raise
+        finally:
+            os.close(counts)
+
+    def send(self, count: int) -> None:
+        """Tell the writer that rows [0, count) are stored, or send _END."""
+        try:
+            os.write(self.pipe, count.to_bytes(8, "little", signed=True))
+        except BrokenPipeError:  # the writer has died: reap it, raise its failure
+            self.close()
+            raise
+        self.sent = max(self.sent, count)
+
+    def finish(self, rows: int) -> None:
+        """Send the rows not sent yet and the end marker, and wait until the
+        writer has given the complete file its name."""
+        if rows > self.sent:
+            self.send(rows)
+        self.send(_END)
+        self.close()
+
+    def close(self, kill: bool = False) -> None:
+        """Reap the writer, first sending it SIGKILL if kill; a no-op once
+        reaped. A writer that did not exit 0 leaves no temporary file, and
+        unless it was killed, its failure is raised as TraceWriteError."""
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        os.close(self.pipe)
+        if kill:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:
+            _remove(self.tmp)
+            if not kill:
+                raise TraceWriteError(f"the CSV writer for {self.path} exited with status {code}")
+
+    def _serve(self, out: int, counts: int, trace_of) -> None:
+        """The writer process's whole life: format each block of rows the
+        run reports, then rename the file once the end marker comes. It
+        calls no BLAS routine, and it leaves through os._exit only, so it
+        never returns into the stack of the code that forked it."""
+        status = 1
+        try:
+            os.close(self.pipe)
+            # no collection, so none of the run's inherited garbage is finalized here
+            gc.disable()
+            with open(out, "w", newline="") as fh, open(counts, "rb") as msgs:
+                _write_rows(fh, trace_of(0, 0), header=True)
+                done = 0
+                while True:
+                    msg = msgs.read(8)
+                    if len(msg) != 8:
+                        raise EOFError("the run's end marker never came")
+                    count = int.from_bytes(msg, "little", signed=True)
+                    if count == _END:
+                        break
+                    _write_rows(fh, trace_of(done, count))
+                    done = count
+            os.replace(self.tmp, self.path)
+            status = 0
+        except BaseException:
+            import traceback
+
+            os.write(2, f"CSV writer for {self.path}:\n{traceback.format_exc()}".encode())
+        finally:
+            os._exit(status)
+
+
+def _remove(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
 @dataclass(frozen=True)
 class Metrics:
     """Tracking-error summary of one run."""
@@ -258,6 +426,7 @@ def run_case(
     reference: ReferenceModel | None = None,
     ref_amplitude: float = 0.5,
     oracle_gp: bool = False,
+    csv_path=None,
 ) -> tuple[Trace, Metrics]:
     """Simulate one case and return its trace and metrics.
 
@@ -270,6 +439,13 @@ def run_case(
     After each step the new (x, w) must be finite with every |x_i| <=
     STATE_ESCAPE_LIMIT, else StateEscapeError (finite) or NonFiniteValueError
     (inf or nan); the final row's derivative must be finite too.
+
+    Given csv_path, the trace is written there as `emit_trace` writes it,
+    by a forked process while the run steps (`_CsvWriter`), and the file
+    has its name by the time run_case returns. A run that fails leaves
+    neither that file nor a temporary one; a writer that fails fails the
+    run with TraceWriteError. Without os.fork the CSV is written after
+    the last step.
     """
     if cfg is None:
         cfg = ControllerConfig()
@@ -293,6 +469,7 @@ def run_case(
 
     # the hot loop works on floats: P as rows, states as lists
     p_rows = compute_P(cfg).tolist()
+    s_rows = weighting_matrix(cfg).tolist()
     w_star = plant.ideal_weights
     w_star_list = w_star.tolist()
 
@@ -311,9 +488,49 @@ def run_case(
     # Row i of the run, stored with one assignment: t, x, x_ref, e, the
     # ControlBreakdown fields in their order, w, and gp_mean, gp_var,
     # d_true and the row's bracket for the monitor. The trace's float
-    # columns are views of this buffer, never copies of it.
+    # columns are views of this buffer, never copies of it. The buffer is
+    # a shared mapping, so a forked CSV writer sees each row once stored.
     widths = [1, n, n, n, len(ControlBreakdown._fields), m_dim, 4]
-    buf = np.empty((rows, sum(widths)))
+    splits = np.cumsum(widths[:-1])
+    buf = np.frombuffer(mmap.mmap(-1, rows * sum(widths) * 8)).reshape(rows, sum(widths))
+
+    def trace_of(start: int, stop: int) -> Trace:
+        """Rows start..stop-1 as a Trace whose float columns view the
+        buffer: the whole run's trace, or one block for the CSV writer.
+        The monitor works row by row, so a block's V and Vdot are the
+        whole trace's rows, bit for bit."""
+        t_col, x_col, x_ref_col, e_col, bd_cols, w_col, rest = np.split(
+            buf[start:stop], splits, axis=1
+        )
+        u_fbl, u_sfb, u_ref, u_gp, u_rob, u_total = bd_cols.T
+        gp_mean, gp_var, d_true, bracket = rest.T
+        v, vdot = lyapunov_monitor(p_rows, s_rows, e_col, bracket, u_rob)
+        i = np.arange(start, stop)
+        return Trace(
+            case_id=scenario.case_id,
+            h=h,
+            t1=scenario.t1,
+            t2=scenario.t2,
+            w_star=w_star.copy(),
+            ref_amplitude=ref_amplitude,
+            t=t_col[:, 0],
+            x=x_col,
+            x_ref=x_ref_col,
+            e=e_col,
+            u_total=u_total,
+            u_fbl=u_fbl,
+            u_sfb=u_sfb,
+            u_ref=u_ref,
+            u_gp=u_gp,
+            u_rob=u_rob,
+            w=w_col,
+            gp_mean=gp_mean,
+            gp_var=gp_var,
+            d_true=d_true,
+            v=v,
+            vdot=vdot,
+            stage=1 + (i >= i1) + (i >= i2),
+        )
 
     x = [0.0] * n
     w = w0.tolist()
@@ -356,6 +573,8 @@ def run_case(
         _, e_s, phi_s, _, _, xdot_s, _ = evaluate(tt, xs, ws, row=False)
         return xdot_s + weight_rate(ws, phi_s, e_s)
 
+    writer = _CsvWriter(csv_path, trace_of) if csv_path is not None and hasattr(os, "fork") else None
+    flush_at = EMIT_BLOCK_ROWS - 1 if writer is not None else -1  # the row that completes a block
     try:
         for i in range(rows):
             t = i * h
@@ -378,6 +597,9 @@ def run_case(
             # -u_fbl is w . phi
             bracket = -bd.u_fbl + bd.u_total + bd.u_gp - xdot_n_meas
             buf[i] = [t, *x, *x_ref, *e, *bd, *w, bd.u_gp, gp_var, d, bracket]
+            if i == flush_at:
+                writer.send(i + 1)
+                flush_at += EMIT_BLOCK_ROWS
 
             if learning and i % rec_every == 0:
                 stack.try_record(phi, xdot_n_meas, bd.u_total)
@@ -401,43 +623,18 @@ def run_case(
                 raise NonFiniteValueError(
                     f"inf or nan on the final row at t={t:g}: (x, w) = {x + w}, xdot = {xdot}"
                 )
+        trace = trace_of(0, rows)
+        metrics = compute_metrics(trace, ref_amplitude)
+        if writer is not None:
+            writer.finish(rows)
+        elif csv_path is not None:
+            emit_trace(trace, csv_path)
     finally:
-        # the run owns its fit workers: no process or thread outlives it
+        # The run owns its CSV writer and its fit workers: no process or
+        # thread outlives it. A failed run kills its writer (a no-op once
+        # finish has reaped it) and so reports its own error.
+        if writer is not None:
+            writer.close(kill=True)
         if model is not None and model.workers is not None:
             model.workers.shutdown(cancel_futures=True)
-
-    t_col, x_col, x_ref_col, e_col, bd_cols, w_col, rest = np.split(
-        buf, np.cumsum(widths[:-1]), axis=1
-    )
-    u_fbl, u_sfb, u_ref, u_gp, u_rob, u_total = bd_cols.T
-    gp_mean, gp_var, d_true, bracket = rest.T
-    v, vdot = lyapunov_monitor(p_rows, weighting_matrix(cfg).tolist(), e_col, bracket, u_rob)
-    stage = np.full(rows, 3)
-    stage[:i2] = 2
-    stage[:i1] = 1
-    tr = Trace(
-        case_id=scenario.case_id,
-        h=h,
-        t1=scenario.t1,
-        t2=scenario.t2,
-        w_star=w_star.copy(),
-        ref_amplitude=ref_amplitude,
-        t=t_col[:, 0],
-        x=x_col,
-        x_ref=x_ref_col,
-        e=e_col,
-        u_total=u_total,
-        u_fbl=u_fbl,
-        u_sfb=u_sfb,
-        u_ref=u_ref,
-        u_gp=u_gp,
-        u_rob=u_rob,
-        w=w_col,
-        gp_mean=gp_mean,
-        gp_var=gp_var,
-        d_true=d_true,
-        v=v,
-        vdot=vdot,
-        stage=stage,
-    )
-    return tr, compute_metrics(tr, ref_amplitude)
+    return trace, metrics

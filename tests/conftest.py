@@ -18,6 +18,15 @@ settings.register_profile("tier1", derandomize=True, database=None, deadline=Non
 settings.load_profile("tier1")
 
 
+def assert_no_child_process():
+    """No child process is left, running or unreaped. A raw os.fork, such as
+    a run's CSV writer, is invisible to multiprocessing.active_children();
+    os.waitpid(-1, WNOHANG) raises ChildProcessError only when the calling
+    process has no child at all."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="session")
 def case_runs():
     """All five benchmark cases at default settings, shared across tests."""

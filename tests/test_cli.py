@@ -1,14 +1,15 @@
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_process
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptive_fbl.cli import (
     _KEYS,
-    EMIT_BLOCK_ROWS,
     RunConfig,
     emit_report,
     emit_trace,
@@ -16,7 +17,7 @@ from adaptive_fbl.cli import (
     parse_config,
 )
 from adaptive_fbl.errors import ConfigParseError, OutOfRangeError, UnknownKeyError
-from adaptive_fbl.simulator import Metrics, Trace
+from adaptive_fbl.simulator import EMIT_BLOCK_ROWS, Metrics, Trace
 
 W_STAR = np.array([1.0, -1.0, 0.5])
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -413,9 +414,9 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out)]) == 1
         assert "case b failed: state left" in capsys.readouterr().err
-        assert (out / "case_a.csv").exists()
-        assert not (out / "case_b.csv").exists()
-        assert not (out / "report.txt").exists()
+        # case b's CSV writer is gone, and so are its finished and temporary files
+        assert os.listdir(out) == ["case_a.csv"]
+        assert_no_child_process()
 
     def test_cli_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.cfg"

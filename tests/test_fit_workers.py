@@ -13,6 +13,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_process
 
 from adaptive_fbl import gp, run_case, scenario_for_case, simulator
 from adaptive_fbl.cli import emit_trace, main
@@ -155,6 +156,7 @@ def test_trace_bytes_do_not_depend_on_the_cpu_count(cpus, monkeypatch, tmp_path)
         paths.append(tmp_path / f"cpus{count}.csv")
         emit_trace(trace, paths[-1])
         assert multiprocessing.active_children() == []
+        assert_no_child_process()
         assert settled_threads(threads) == threads
     assert [pool is None for pool in pools] == [True, False]
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -170,6 +172,7 @@ def test_worker_failure_fails_the_run_and_leaves_nothing_running(cpus, inject, f
     with pytest.raises(error):
         run_case(short_case_e(), gp_cfg=GpConfig(window=30))
     assert multiprocessing.active_children() == []
+    assert_no_child_process()
     assert settled_threads(threads) == threads
 
 
@@ -186,5 +189,7 @@ def test_cli_reports_a_worker_failure_as_a_failed_case(cpus, inject, tmp_path, c
     assert main(["--config", str(tmp_path / "run.cfg")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("case e failed: ") and message in err
+    assert os.listdir(tmp_path) == ["run.cfg"]  # no CSV, finished or temporary
     assert multiprocessing.active_children() == []
+    assert_no_child_process()
     assert settled_threads(threads) == threads

@@ -109,7 +109,7 @@ def test_cli_import_and_gp_free_case_leave_scipy_unloaded(tmp_path):
         "import adaptive_fbl.cli\n"
         f"after_import = [{SCIPY_LOADED}, {POOL_LOADED}]\n"
         "from adaptive_fbl import run_case, scenario_for_case\n"
-        "run_case(scenario_for_case('b', duration=1.0, t1=0.5, t2=0.8, h=0.01))\n"
+        "run_case(scenario_for_case('b', duration=1.0, t1=0.5, t2=0.8, h=0.01), csv_path='b.csv')\n"
         f"print(json.dumps([after_import, [{SCIPY_LOADED}, {POOL_LOADED}]]))\n",
         tmp_path,
     )
@@ -126,6 +126,10 @@ def test_cli_sets_one_blas_thread_unless_preset(tmp_path, preset):
         "import json, os, sys\n"
         "from adaptive_fbl.cli import main\n"
         f"threads = lambda: len(os.listdir({TASKS!r})) if os.path.isdir({TASKS!r}) else 0\n"
+        # a warm-up fork parks numpy's OpenBLAS threads, as each run's own
+        # fork of its CSV writer does, so the count after it is the baseline
+        "pid = os.fork()\n"
+        "os._exit(0) if pid == 0 else os.waitpid(pid, 0)\n"
         "before = threads()\n"
         "runs = [[main(['--config', f'gp{s}.cfg']), threads() - before] for s in (0, 2)]\n"
         "import multiprocessing, threading\n"

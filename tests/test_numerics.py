@@ -1,5 +1,11 @@
+from operator import mul
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
 
 from adaptive_fbl.errors import NotHurwitzError
 from adaptive_fbl.numerics import rk4_step, solve_lyapunov
@@ -83,6 +89,37 @@ class TestRk4:
             return abs(x[0] - np.e)
 
         ratio = integrate(1e-2) / integrate(5e-3)
+        assert 16.0 * 0.8 <= ratio <= 16.0 * 1.2
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 3),
+        decay=st.tuples(st.floats(0.3, 2.0), st.floats(0.3, 2.0)),
+        freq=st.floats(0.0, 2.0),
+        basis=arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)),
+        x0=arrays(float, 3, elements=st.floats(-1.0, 1.0)),
+    )
+    def test_fourth_order_on_stable_linear_systems(self, n, decay, freq, basis, x0):
+        """Halving h divides the error at t = 1 by about 2^4 on x' = A x,
+        A = Q D Q' with Q orthogonal and D stable: poles -a +- i freq for
+        n >= 2, and -c for n = 1 and n = 3."""
+        assume(np.linalg.norm(x0[:n]) > 0.1)
+        a, c = decay
+        d = np.diag([-a, -a, -c][:n]) if n > 1 else np.array([[-c]])
+        if n > 1:
+            d[0, 1], d[1, 0] = freq, -freq
+        q, _ = np.linalg.qr(basis[:n, :n] + 3.0 * np.eye(n))  # well away from singular
+        a_mat = q @ d @ q.T
+        rows = a_mat.tolist()
+        exact = expm(a_mat) @ x0[:n]
+
+        def error(steps):
+            h, x = 1.0 / steps, x0[:n].tolist()
+            for i in range(steps):
+                x = rk4_step(lambda t, z: [sum(map(mul, row, z)) for row in rows], i * h, x, h)
+            return np.linalg.norm(np.array(x) - exact)
+
+        ratio = error(10) / error(20)
         assert 16.0 * 0.8 <= ratio <= 16.0 * 1.2
 
     def test_step_must_be_positive(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adaptive_fbl import simulator
 from adaptive_fbl.concurrent_learning import LearnerConfig
@@ -385,6 +386,23 @@ class TestLyapunovMonitor:
         e = np.array([[2.0], [-1.0], [0.5]])
         v, _ = lyapunov_monitor(np.array([[0.5]]), np.array([[1.0]]), e, np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(v, [2.0, 0.5, 0.125])
+
+    @settings(max_examples=60)
+    @given(data=st.data(), n=st.integers(1, 3), rows=st.integers(1, 40))
+    def test_blocks_of_rows_give_the_whole_traces_bits(self, data, n, rows):
+        """A run's CSV writer computes V and Vdot block by block: on any
+        contiguous row blocks the monitor gives the bits of the same rows
+        of the whole-trace result."""
+        cell = st.floats(-1e3, 1e3, allow_nan=False)
+        p, s_tilde = (data.draw(arrays(float, (n, n), elements=cell)).tolist() for _ in range(2))
+        e = data.draw(arrays(float, (rows, n), elements=cell))
+        bracket, u_rob = (data.draw(arrays(float, rows, elements=cell)) for _ in range(2))
+        cuts = sorted(data.draw(st.lists(st.integers(0, rows), max_size=4)))
+        bounds = list(zip([0, *cuts], [*cuts, rows]))
+        whole = lyapunov_monitor(p, s_tilde, e, bracket, u_rob)
+        blocks = [lyapunov_monitor(p, s_tilde, e[a:b], bracket[a:b], u_rob[a:b]) for a, b in bounds]
+        for k in (0, 1):
+            assert np.concatenate([block[k] for block in blocks]).tobytes() == whole[k].tobytes()
 
     def test_case_e_columns_match_row_by_row_formulas(self, case_runs):
         """V has the bits of a per-row quad_form; Vdot is -e'Se + 2 s
