@@ -181,10 +181,8 @@ def _cases(v):
 
 
 def _gains(v):
-    if not isinstance(v, list) or not v or not all(
-        isinstance(g, (int, float)) and not isinstance(g, bool) for g in v
-    ):
-        raise OutOfRangeError(f"gains must be a non-empty list of numbers, got {v!r}")
+    if not isinstance(v, list) or not v or not all(map(_number, v)):
+        raise OutOfRangeError(f"gains must be a non-empty list of finite numbers, got {v!r}")
     return [float(g) for g in v]
 
 
@@ -193,10 +191,12 @@ def _matrix(name):
         if v is None:
             return None
         ok = isinstance(v, list) and v and all(
-            isinstance(row, list) and len(row) == len(v) for row in v
+            isinstance(row, list) and len(row) == len(v) and all(map(_number, row)) for row in v
         )
         if not ok:
-            raise OutOfRangeError(f"{name} must be a square matrix as nested lists, got {v!r}")
+            raise OutOfRangeError(
+                f"{name} must be a square matrix of finite numbers as nested lists, got {v!r}"
+            )
         return [[float(x) for x in row] for row in v]
 
     return check

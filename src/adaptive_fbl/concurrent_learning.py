@@ -23,11 +23,10 @@ run proceeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-from .numerics import dot
 
 
 class Record(NamedTuple):
@@ -186,6 +185,24 @@ class LearnerState:
     stack: HistoryStack
 
 
+def weight_rate(state: LearnerState, p_last: Sequence[float]):
+    """The weight estimate's time derivative with the gain, P's last row and
+    the stack's Gram rows as they are now bound: a function (w, phi_now, e)
+    -> wdot, the one definition of the update law. The record sum's cost
+    does not grow with the number of records; a changed stack needs a new
+    binding. The dot products are numerics.dot's sums, written out."""
+    gamma, stack = state.gamma_w, state.stack
+    terms = list(zip(stack.gram, stack.phi_rhs)) if len(stack) else None
+
+    def rate(w, phi_now, e):
+        r = -gamma * sum(map(mul, p_last, e))
+        if terms is None:
+            return [r * v for v in phi_now]
+        return [r * v - gamma * (sum(map(mul, row, w)) - b) for v, (row, b) in zip(phi_now, terms)]
+
+    return rate
+
+
 def weight_update_derivative(
     state: LearnerState,
     w: Sequence[float],
@@ -193,17 +210,5 @@ def weight_update_derivative(
     e: Sequence[float],
     p: Sequence[Sequence[float]],
 ) -> list[float]:
-    """Time derivative of the weight estimate w.
-
-    The record sum goes through the stack's cached Gram matrix, so its
-    cost does not grow with the number of records.
-    """
-    gamma = state.gamma_w
-    rate = -gamma * dot(p[-1], e)
-    stack = state.stack
-    if not len(stack):
-        return [rate * v for v in phi_now]
-    return [
-        rate * v - gamma * (dot(row, w) - b)
-        for v, row, b in zip(phi_now, stack.gram, stack.phi_rhs)
-    ]
+    """One evaluation of `weight_rate` on the stack as it is now; p is P as rows."""
+    return weight_rate(state, p[-1])(w, phi_now, e)

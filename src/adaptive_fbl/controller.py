@@ -18,12 +18,12 @@ linear ramp -m*s/rho (standard boundary-layer smoothing).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import numerics
-from .numerics import dot
 from .plant import integrator_chain
 
 
@@ -96,6 +96,35 @@ def weighting_matrix(cfg: ControllerConfig) -> np.ndarray:
     return cfg.q + cfg.r * np.outer(cfg.gains, cfg.gains)
 
 
+def control_law(cfg: ControllerConfig, p_last: Sequence[float]):
+    """The control law with cfg and P's last row bound as locals: a function
+    (w, phi, e, xdot_n_ref, gp_mean) that returns the ControlBreakdown
+    fields as a plain tuple. This is the one definition of the law.
+
+    gp_mean must be 0 when GP compensation is inactive. The robustness
+    term is the boundary-layer saturation of s = b.T P e, whose magnitude
+    never exceeds the gain; the integrator chain's b picks P's last row.
+    The dot products are numerics.dot's sums, written out.
+    """
+    gains, m, rho, rob_enabled = cfg.gains, cfg.m, cfg.rho, cfg.rob_enabled
+
+    def law(w, phi, e, xdot_n_ref, gp_mean):
+        u_fbl = -sum(map(mul, w, phi))
+        u_sfb = sum(map(mul, gains, e))
+        if rob_enabled:
+            s = sum(map(mul, p_last, e))
+            if abs(s) > rho:
+                u_rob = -m if s > 0 else m
+            else:
+                u_rob = -m * s / rho
+        else:
+            u_rob = 0.0
+        u_total = u_fbl + u_sfb + xdot_n_ref - gp_mean - u_rob
+        return u_fbl, u_sfb, xdot_n_ref, gp_mean, u_rob, u_total
+
+    return law
+
+
 def compute_control(
     cfg: ControllerConfig,
     p: Sequence[Sequence[float]],
@@ -105,24 +134,6 @@ def compute_control(
     xdot_n_ref: float,
     gp_mean: float = 0.0,
 ) -> ControlBreakdown:
-    """Assemble the control input from the current estimates and errors.
-
-    gp_mean must be 0 when GP compensation is inactive. p is P as rows;
-    a numpy matrix works too. The robustness term is the
-    boundary-layer saturation of s = b.T P e; its magnitude never
-    exceeds the gain.
-    """
-    u_fbl = -dot(w, phi)
-    u_sfb = dot(cfg.gains, e)
-    if cfg.rob_enabled:
-        m = cfg.m
-        s = dot(p[-1], e)  # b.T P e: the integrator chain's b picks P's last row
-        rho = cfg.rho
-        if abs(s) > rho:
-            u_rob = -m if s > 0 else m
-        else:
-            u_rob = -m * s / rho
-    else:
-        u_rob = 0.0
-    u_total = u_fbl + u_sfb + xdot_n_ref - gp_mean - u_rob
-    return ControlBreakdown(u_fbl, u_sfb, xdot_n_ref, gp_mean, u_rob, u_total)
+    """One evaluation of `control_law` as a ControlBreakdown. p is P as
+    rows; a numpy matrix works too."""
+    return ControlBreakdown(*control_law(cfg, p[-1])(w, phi, e, xdot_n_ref, gp_mean))

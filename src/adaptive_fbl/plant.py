@@ -16,12 +16,11 @@ disturbance d. The built-in benchmark is a second-order system with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .numerics import dot
 
 BENCHMARK_NAME = "benchmark_5717148"
 BENCHMARK_IDEAL_WEIGHTS = np.array([1.0, -1.0, 0.5])
@@ -51,11 +50,6 @@ class Plant:
     regressor: Callable[[Sequence[float]], Sequence[float]]
     disturbance: Callable[[float, Sequence[float]], float]
     name: str = "custom"
-    # ideal_weights as floats, for plant_step's dot product
-    _weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_weights", tuple(np.asarray(self.ideal_weights, dtype=float).tolist()))
 
 
 @dataclass(frozen=True)
@@ -76,20 +70,23 @@ def eval_regressor(plant: Plant, x: Sequence[float]) -> Sequence[float]:
 
 def check_regressor_shape(plant: Plant, x: Sequence[float]) -> None:
     """Raise ValueError unless phi(x) has one entry per ideal weight."""
-    shape = np.shape(plant.regressor(x))
+    shape = np.shape(eval_regressor(plant, x))
     if shape != plant.ideal_weights.shape:
         raise ValueError(f"regressor returned {shape}, expected {plant.ideal_weights.shape}")
 
 
-def plant_step(
-    plant: Plant, x: Sequence[float], phi: Sequence[float], u: float, d: float
-) -> list[float]:
-    """State derivative under control input u and disturbance d.
-
-    phi is eval_regressor(plant, x). This is the one definition of the
-    chain dynamics.
+def plant_dynamics(plant: Plant) -> Callable[[Sequence[float], Sequence[float], float, float], list[float]]:
+    """The plant's state derivative with its ideal weights bound: a function
+    (x, phi, u, d) -> xdot under control input u and disturbance d, phi
+    being eval_regressor(plant, x). This is the one definition of the chain
+    dynamics; its dot product is numerics.dot's sum, written out.
     """
-    return [*x[1:], dot(plant._weights, phi) + u + d]
+    weights = tuple(np.asarray(plant.ideal_weights, dtype=float).tolist())
+
+    def step(x, phi, u, d):
+        return [*x[1:], sum(map(mul, weights, phi)) + u + d]
+
+    return step
 
 
 def _benchmark_regressor(x: Sequence[float]) -> tuple[float, float, float]:
@@ -124,11 +121,11 @@ def sine_reference(amplitude: float = 0.5, omega: float = 1.0, order: int = 2) -
     # d^k/dt^k of amplitude*sin(omega t) is scale_k * (sin, cos)[k % 2];
     # the quarter-phase case analysis keeps zeros exact
     scales = [amplitude * omega**k * (-1.0 if k % 4 in (2, 3) else 1.0) for k in range(order + 1)]
+    pairs = order // 2 + 1  # (sin, cos) pairs that cover k = 0..order
 
     def trajectory(t: float) -> tuple[list[float], float]:
         phase = omega * t
-        base = (math.sin(phase), math.cos(phase))
-        chain = [scale * base[k % 2] for k, scale in enumerate(scales)]
+        chain = list(map(mul, scales, (math.sin(phase), math.cos(phase)) * pairs))
         return chain[:order], chain[order]
 
     return ReferenceModel(trajectory=trajectory)

@@ -21,15 +21,17 @@ The cases differ in which learning pieces are active:
     d: fixed mismatched weights, GP compensation, disturbance active
     e: weight learning and GP compensation, disturbance active
 
-The plant state and the weight estimate are integrated together as one
-RK4 state so everything advances at a single integration order. The
-control law is evaluated inside every integrator stage, and the row
-evaluation that fills the trace at each step is the first stage: one
-step costs four evaluations of the closed loop. The stepping core runs
-on plain float lists; numpy holds the trace and does the per-run setup.
-Each row is stored with one assignment into one preallocated buffer,
-whose column views are the trace's arrays, and the quadratic-form
-monitor runs once over the whole trace after the last step.
+On a step that learns, the plant state and the weight estimate are
+integrated together as one RK4 state, so both advance at one integration
+order; every other step integrates x alone and leaves w as it is. The
+closed loop (control law, plant step and, when learning, weight rate) is
+one function bound once per run, with its constants as locals; the
+row evaluation that fills the trace at each step is the first RK4 stage,
+so one step costs four evaluations of it. The stepping core runs on plain
+float lists; numpy holds the trace and does the per-run setup. Each row
+is stored with one assignment into one preallocated buffer, whose column
+views are the trace's arrays, and the quadratic-form monitor runs once
+over the whole trace after the last step.
 
 Given a CSV path, a run streams its trace to it: the buffer is a shared
 anonymous mapping, and a forked writer process formats each finished
@@ -49,12 +51,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .concurrent_learning import HistoryStack, LearnerConfig, LearnerState, weight_update_derivative
+# compute_control, eval_regressor and weight_update_derivative are imported
+# for bench/tracing.py, which patches them here by name
+from .concurrent_learning import HistoryStack, LearnerConfig, LearnerState, weight_rate
+from .concurrent_learning import weight_update_derivative  # noqa: F401
 from .controller import (
     ControlBreakdown,
     ControllerConfig,
-    compute_control,
+    compute_control,  # noqa: F401
     compute_P,
+    control_law,
     weighting_matrix,
 )
 from .errors import NonFiniteValueError, StateEscapeError, TraceWriteError
@@ -65,8 +71,8 @@ from .plant import (
     ReferenceModel,
     benchmark_plant,
     check_regressor_shape,
-    eval_regressor,
-    plant_step,
+    eval_regressor,  # noqa: F401
+    plant_dynamics,
     sine_reference,
 )
 
@@ -535,46 +541,41 @@ def run_case(
     x = [0.0] * n
     w = w0.tolist()
     check_regressor_shape(plant, x)
-    no_learning = [0.0] * m_dim
 
-    def evaluate(t, x, w, row):
-        """The closed loop at (t, x, w) under the current step's flags:
-        control law and plant step.
+    # the closed loop's constants, bound once per run
+    trajectory, regressor, disturbance = reference.trajectory, plant.regressor, plant.disturbance
+    law = control_law(cfg, p_rows[-1])
+    dynamics = plant_dynamics(plant)
+    wdot = weight_rate(lstate, p_rows[-1])  # rebound whenever the stack changes
 
-        Returns (x_ref, e, phi, gp_var, bd, xdot, d). On a row (row=True)
-        the GP term comes with its posterior variance; inside integrator
-        stages only the mean is needed.
-        """
-        x_ref, xdot_n_ref = reference.trajectory(t)
+    def closed_loop(t, z, row=False):
+        """z's derivative under the current step's flags: control law, plant
+        step and, on a learning step, weight rate. z is x + w on a step that
+        learns, else x alone. A row (row=True) gets (x_ref, e, phi, gp_var,
+        bd, xdot, d), bd the ControlBreakdown fields; it is also the step's
+        k1, formed after try_record may have changed the stack."""
+        if z is z_step:
+            return k1
+        x, w_z = (z[:n], z[n:]) if learning else (z, w)
+        x_ref, xdot_n_ref = trajectory(t)
         e = list(map(sub, x_ref, x))
-        phi = eval_regressor(plant, x)
-        d = plant.disturbance(t, x) if disturbed else 0.0
-        g, g_var = 0.0, 0.0
+        phi = regressor(x)
+        d = disturbance(t, x) if disturbed else 0.0
+        g = g_var = 0.0
         if compensating:
             if oracle_gp:
-                g = d - dot(list(map(sub, w, w_star_list)), phi)
+                g = d - dot(list(map(sub, w_z, w_star_list)), phi)
             elif model.fitted:
                 g, g_var = model.predict(x) if row else (model.predict_mean(x), 0.0)
-        bd = compute_control(cfg, p_rows, w, phi, e, xdot_n_ref, g)
-        xdot = plant_step(plant, x, phi, bd.u_total, d)
-        return x_ref, e, phi, g_var, bd, xdot, d
-
-    def weight_rate(w, phi, e):
-        if learning:
-            return weight_update_derivative(lstate, w, phi, e, p_rows)
-        return no_learning
-
-    def derivative(tt, zz):
-        # The row's evaluation is the first RK4 stage; its weight rate is
-        # taken only after try_record may have changed the stack.
-        if zz is z:
-            return k1
-        xs, ws = zz[:n], zz[n:]
-        _, e_s, phi_s, _, _, xdot_s, _ = evaluate(tt, xs, ws, row=False)
-        return xdot_s + weight_rate(ws, phi_s, e_s)
+        bd = law(w_z, phi, e, xdot_n_ref, g)
+        xdot = dynamics(x, phi, bd[-1], d)
+        if row:
+            return x_ref, e, phi, g_var, bd, xdot, d
+        return xdot + wdot(w_z, phi, e) if learning else xdot
 
     writer = _CsvWriter(csv_path, trace_of) if csv_path is not None and hasattr(os, "fork") else None
     flush_at = EMIT_BLOCK_ROWS - 1 if writer is not None else -1  # the row that completes a block
+    z_step = None
     try:
         for i in range(rows):
             t = i * h
@@ -591,34 +592,37 @@ def run_case(
                     model.workers = fit_workers(model.starts + 1)
                 model.fit()
 
-            x_ref, e, phi, gp_var, bd, xdot, d = evaluate(t, x, w, row=True)
+            z = x + w if learning else x
+            x_ref, e, phi, gp_var, bd, xdot, d = closed_loop(t, z, row=True)
 
             xdot_n_meas = xdot[-1]
+            u_fbl, _, _, u_gp, _, u_total = bd
             # -u_fbl is w . phi
-            bracket = -bd.u_fbl + bd.u_total + bd.u_gp - xdot_n_meas
-            buf[i] = [t, *x, *x_ref, *e, *bd, *w, bd.u_gp, gp_var, d, bracket]
+            bracket = -u_fbl + u_total + u_gp - xdot_n_meas
+            buf[i] = [t, *x, *x_ref, *e, *bd, *w, u_gp, gp_var, d, bracket]
             if i == flush_at:
                 writer.send(i + 1)
                 flush_at += EMIT_BLOCK_ROWS
 
-            if learning and i % rec_every == 0:
-                stack.try_record(phi, xdot_n_meas, bd.u_total)
+            if learning and i % rec_every == 0 and stack.try_record(phi, xdot_n_meas, u_total):
+                wdot = weight_rate(lstate, p_rows[-1])
             if model is not None and stage > 1 and (i - i1) % samp_every == 0:
-                model.observe(x, training_target(xdot_n_meas, w, phi, bd.u_total))
+                model.observe(x, training_target(xdot_n_meas, w, phi, u_total))
 
             if i < n_steps:
-                z = x + w
-                k1 = xdot + weight_rate(w, phi, e)
-                z_next = rk4_step(derivative, t, z, h)
-                x, w = z_next[:n], z_next[n:]
+                k1 = xdot + wdot(w, phi, e) if learning else xdot
+                z_step = z
+                z_next = rk4_step(closed_loop, t, z, h)
+                x_next, w_next = (z_next[:n], z_next[n:]) if learning else (z_next, w)
                 # the run's one state check per step; nan fails the first test
                 finite = all(map(math.isfinite, z_next))
-                if not finite or max(map(abs, x)) > STATE_ESCAPE_LIMIT:
+                if not finite or max(map(abs, x_next)) > STATE_ESCAPE_LIMIT:
                     where = f"in the step from t={t:g} to t={t + h:g}: "
-                    where += f"last finite state (x, w) = {z}, result {z_next}"
+                    where += f"last finite state (x, w) = {x + w}, result {x_next + w_next}"
                     if finite:
                         raise StateEscapeError(f"state left |x| <= {STATE_ESCAPE_LIMIT:g} {where}")
                     raise NonFiniteValueError(f"state turned inf or nan {where}")
+                x, w = x_next, w_next
             elif not all(map(math.isfinite, xdot)):  # no step follows the final row
                 raise NonFiniteValueError(
                     f"inf or nan on the final row at t={t:g}: (x, w) = {x + w}, xdot = {xdot}"

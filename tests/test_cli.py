@@ -386,17 +386,30 @@ class TestMain:
         assert main(["--cases", "a", "--seed", "-1", "--out", str(tmp_path / "o2")]) == 2
         assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "text", ["gamma_w = NaN", "m = Infinity", "h = -Infinity", "rho = NaN"]
+        "text",
+        [
+            "gamma_w = NaN",
+            "m = Infinity",
+            "h = -Infinity",
+            "rho = NaN",
+            "gains = [NaN, 20]",
+            "gains = [Infinity, 20]",
+            "Q = [[Infinity, 0], [0, 1]]",
+        ],
     )
     def test_non_finite_config_value_exits_2(self, tmp_path, capsys, text):
-        """NaN and Infinity parse as JSON numbers; they are config errors,
-        not failures in the middle of a run."""
+        """NaN and Infinity parse as JSON numbers, also inside the gains and
+        Q lists; they are config errors that name the key and the line, not
+        failures in the middle of a run."""
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"cases = a\nh = 0.01\n{text}\n")
         out = tmp_path / "o"
         assert main(["--config", str(cfg), "--out", str(out)]) == 2
-        assert "finite number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"line 3: {text.split(' = ')[0]} must be" in err
+        assert "finite number" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("h", ["nan", "inf"])

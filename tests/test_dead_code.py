@@ -5,8 +5,15 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adaptive_fbl"
 
-# read by bench/tracing.py
-ALLOWED_UNREFERENCED = {"log_marginal_likelihood", "GpModel.inputs", "GpModel.targets"}
+# read by bench/tracing.py: the GP's likelihood and window, and the
+# simulator names it patches, which the bound closed loop no longer calls
+ALLOWED_UNREFERENCED = {
+    "log_marginal_likelihood",
+    "GpModel.inputs",
+    "GpModel.targets",
+    "compute_control",
+    "weight_update_derivative",
+}
 
 
 def definitions_and_references():

@@ -8,7 +8,7 @@ from adaptive_fbl.plant import (
     benchmark_plant,
     eval_regressor,
     integrator_chain,
-    plant_step,
+    plant_dynamics,
     sine_reference,
 )
 
@@ -38,7 +38,7 @@ class TestPlantDerivative:
     def test_before_disturbance(self, plant):
         origin = [0.0, 0.0]
         np.testing.assert_allclose(
-            plant_step(plant, origin, eval_regressor(plant, origin), 0.0, 0.0), [0.0, 0.5]
+            plant_dynamics(plant)(origin, eval_regressor(plant, origin), 0.0, 0.0), [0.0, 0.5]
         )
 
     def test_with_disturbance(self, plant):
@@ -47,7 +47,7 @@ class TestPlantDerivative:
         d = plant.disturbance(15.0, origin)
         assert d == 1.0
         np.testing.assert_allclose(
-            plant_step(plant, origin, eval_regressor(plant, origin), 0.0, d), [0.0, 1.5]
+            plant_dynamics(plant)(origin, eval_regressor(plant, origin), 0.0, d), [0.0, 1.5]
         )
 
     def test_exact_cancellation(self, plant):
@@ -58,7 +58,7 @@ class TestPlantDerivative:
             phi = eval_regressor(plant, x)
             d = plant.disturbance(t, x)
             u = -float(plant.ideal_weights @ phi) - d
-            xdot = plant_step(plant, x, phi, u, d)
+            xdot = plant_dynamics(plant)(x, phi, u, d)
             assert abs(xdot[-1]) <= 1e-12
 
 

@@ -6,13 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from adaptive_fbl import simulator
 from adaptive_fbl.concurrent_learning import LearnerConfig
 from adaptive_fbl.controller import ControllerConfig, compute_P, weighting_matrix
 from adaptive_fbl.errors import NonFiniteValueError, StateEscapeError
+from adaptive_fbl.gp import GpConfig
 from adaptive_fbl.numerics import quad_form
-from adaptive_fbl.plant import Plant, benchmark_plant, integrator_chain
+from adaptive_fbl.plant import (
+    Plant,
+    ReferenceModel,
+    benchmark_plant,
+    integrator_chain,
+    sine_reference,
+)
 from adaptive_fbl.simulator import (
     CASE_FLAGS,
     Scenario,
@@ -83,19 +91,19 @@ class TestScenario:
 
     def test_controller_order_must_match_plant(self, monkeypatch):
         """Three gains on the order-2 plant fail before the control law is
-        ever evaluated, instead of running on a truncated dot product."""
+        ever bound, instead of running on a truncated dot product."""
         calls = Counter()
-        original = simulator.compute_control
+        original = simulator.control_law
 
         def counted(*args, **kwargs):
-            calls["compute_control"] += 1
+            calls["control_law"] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(simulator, "compute_control", counted)
+        monkeypatch.setattr(simulator, "control_law", counted)
         cfg = ControllerConfig(gains=(20.0, 20.0, 20.0))
         with pytest.raises(ValueError, match="3 gains, plant has order 2"):
             run_case(scenario_for_case("a", duration=1.0), cfg=cfg)
-        assert calls["compute_control"] == 0
+        assert calls["control_law"] == 0
 
 
 class TestTraceContracts:
@@ -284,35 +292,61 @@ class TestLinearClosedLoopEquivalence:
 
 class TestSteppingCore:
     def test_four_closed_loop_evaluations_per_step(self, monkeypatch):
-        """Each step evaluates the control law and the regressor four times
-        (its row plus three RK4 stages) and calls rk4_step once, all through
-        the simulator module's names, where profilers and tracers hook in."""
+        """A step evaluates the closed loop four times, once per RK4 stage:
+        its row's evaluation is the first stage, k1, and each later stage
+        is one evaluation, all in one rk4_step call. Only a step that
+        learns integrates w with x and takes weight rates."""
         counts = Counter()
+        plant, reference = benchmark_plant(), sine_reference()
 
-        def count(name, fn):
-            def counted(*args, **kwargs):
+        def counted(name, fn):
+            def call(*args):
                 counts[name] += 1
-                return fn(*args, **kwargs)
+                return fn(*args)
 
-            monkeypatch.setattr(simulator, name, counted)
+            return call
 
-        for name in ("compute_control", "eval_regressor", "weight_update_derivative"):
-            count(name, getattr(simulator, name))
+        counted_plant = Plant(
+            order=2,
+            ideal_weights=plant.ideal_weights,
+            regressor=counted("regressor", plant.regressor),
+            disturbance=plant.disturbance,
+        )
+        bind_rate = simulator.weight_rate
+        monkeypatch.setattr(
+            simulator, "weight_rate", lambda *args: counted("weight_rate", bind_rate(*args))
+        )
         rk4 = simulator.rk4_step
+        state_sizes, stage_evaluations = [], []
 
         def positional_rk4(f, t, z, h):
-            counts["rk4_step"] += 1
+            state_sizes.append(len(z))
+            per_stage = []
+
+            def stage(tt, zz):
+                before = counts["regressor"]
+                k = f(tt, zz)
+                per_stage.append(counts["regressor"] - before)
+                return k
+
+            stage_evaluations.append(per_stage)
             # hand on a wrapped f, as a tracer does
-            return rk4(lambda tt, zz: f(tt, zz), t, z, h)
+            return rk4(stage, t, z, h)
 
         monkeypatch.setattr(simulator, "rk4_step", positional_rk4)
-        steps = 20
-        run_case(scenario_for_case("b", duration=steps * 1e-3))
-        assert counts["rk4_step"] == steps
-        # the final row closes the trace without a step after it
-        assert counts["compute_control"] == 4 * steps + 1
-        assert counts["eval_regressor"] == 4 * steps + 1
-        assert counts["weight_update_derivative"] == 4 * steps
+        learning, steps = 10, 20
+        scn = scenario_for_case("b", duration=steps * 1e-3, t1=learning * 1e-3, t2=0.015)
+        counted_reference = ReferenceModel(counted("trajectory", reference.trajectory))
+        run_case(scn, plant=counted_plant, reference=counted_reference)
+        # one rk4_step per step; the row's evaluation is reused as k1
+        assert stage_evaluations == [[0, 1, 1, 1]] * steps
+        # each step's row and three stages, the final row, and the shape check
+        assert counts["trajectory"] == 4 * steps + 1
+        assert counts["regressor"] == 4 * steps + 2
+        # (x, w) on learning steps, x alone after them; k1 and three stages
+        # take weight rates on learning steps only
+        assert state_sizes == [5] * learning + [2] * (steps - learning)
+        assert counts["weight_rate"] == 4 * learning
 
 
 class TestMetrics:
@@ -403,6 +437,35 @@ class TestLyapunovMonitor:
         blocks = [lyapunov_monitor(p, s_tilde, e[a:b], bracket[a:b], u_rob[a:b]) for a, b in bounds]
         for k in (0, 1):
             assert np.concatenate([block[k] for block in blocks]).tobytes() == whole[k].tobytes()
+
+    @settings(max_examples=10)
+    @given(
+        case=st.sampled_from(simulator.CASE_IDS),
+        w0=arrays(float, 3, elements=st.floats(-2.0, 2.0)),
+        duration=st.floats(1.0, 2.0),
+        t1=st.floats(0.1, 1.0),
+        gap=st.floats(0.01, 1.0),
+    )
+    def test_rate_is_the_derivative_of_the_value(self, case, w0, duration, t1, gap):
+        """Along a run, Vdot is dV/dt: a central difference of V matches it
+        away from stage switches and GP refits, where the forcing jumps. The
+        difference's own error is about h**2/6 times V's third derivative,
+        that is Vdot's second difference over 6, so each row is held to
+        three times the largest such estimate within two rows of it."""
+        h = 1e-3
+        scn = scenario_for_case(case, h=h, duration=duration, t1=t1, t2=t1 + gap, w0=w0)
+        tr, _ = run_case(scn)
+        v, vdot = tr.v, tr.vdot
+        fd = (v[2:] - v[:-2]) / (2 * h)
+        truncation = np.abs(vdot[2:] - 2 * vdot[1:-1] + vdot[:-2]) / 6
+        bound = 3 * np.pad(sliding_window_view(truncation, 5).max(axis=1), 2, mode="edge") + 1e-9
+        i = np.arange(1, tr.n_rows - 1)
+        i1, i2 = stage_rows(scn.t1, scn.t2, h)
+        smooth = (np.abs(i - i1) > 1) & (np.abs(i - i2) > 1)
+        if scn.gp_enabled:
+            refit_every = round(GpConfig().refit_period / h)
+            smooth &= (i < i2) | ((i - i2 + 1) % refit_every > 2)
+        assert np.all(np.abs(fd - vdot[1:-1])[smooth] <= bound[smooth])
 
     def test_case_e_columns_match_row_by_row_formulas(self, case_runs):
         """V has the bits of a per-row quad_form; Vdot is -e'Se + 2 s
