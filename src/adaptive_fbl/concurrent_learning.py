@@ -23,10 +23,11 @@ run proceeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .numerics import compiled, dot_source, function_source, symbols, tuple_source
 
 
 class Record(NamedTuple):
@@ -185,22 +186,46 @@ class LearnerState:
     stack: HistoryStack
 
 
-def weight_rate(state: LearnerState, p_last: Sequence[float]):
-    """The weight estimate's time derivative with the gain, P's last row and
-    the stack's Gram rows as they are now bound: a function (w, phi_now, e)
-    -> wdot, the one definition of the update law. The record sum's cost
-    does not grow with the number of records; a changed stack needs a new
-    binding. The dot products are numerics.dot's sums, written out."""
-    gamma, stack = state.gamma_w, state.stack
-    terms = list(zip(stack.gram, stack.phi_rhs)) if len(stack) else None
+def update_source(n: int, m: int, filled: bool) -> tuple[list[str], list[str]]:
+    """The update law as Python source, the one definition of it: (lines,
+    names of the m weight rates). The lines read the weights w1..wm, the
+    regressor f1..fm, the errors e1..en and the constants gamma and P's
+    last row p1..pn; on a filled stack also the Gram rows gram<j>_<k> and
+    phi_rhs rhs1..rhsm. The record sum costs the same for any number of
+    records, and a changed stack needs its new constants bound.
+    """
+    w, f = symbols("w", m), symbols("f", m)
+    lines = [f"r = -gamma * ({dot_source(symbols('p', n), symbols('e', n))})"]
+    for j in range(1, m + 1):
+        rate = f"wd{j} = r * f{j}"
+        if filled:
+            rate += f" - gamma * ({dot_source(symbols(f'gram{j}_', m), w)} - rhs{j})"
+        lines.append(rate)
+    return lines, symbols("wd", m)
 
-    def rate(w, phi_now, e):
-        r = -gamma * sum(map(mul, p_last, e))
-        if terms is None:
-            return [r * v for v in phi_now]
-        return [r * v - gamma * (sum(map(mul, row, w)) - b) for v, (row, b) in zip(phi_now, terms)]
 
-    return rate
+def stack_source(m: int) -> list[str]:
+    """Lines that unpack a filled stack's `gram` and `phi_rhs` into the
+    names update_source reads."""
+    rows = [f"({tuple_source(symbols(f'gram{j}_', m))})" for j in range(1, m + 1)]
+    return [f"{tuple_source(rows)} = gram", f"{tuple_source(symbols('rhs', m))} = phi_rhs"]
+
+
+def _update_function(n: int, m: int, filled: bool) -> str:
+    """Source of rate(gamma, p_last, gram, phi_rhs, w, phi, e), which
+    returns the weight rates as a list."""
+    lines, rates = update_source(n, m, filled)
+    unpack = [
+        f"{tuple_source(symbols('p', n))} = p_last",
+        f"{tuple_source(symbols('w', m))} = w",
+        f"{tuple_source(symbols('f', m))} = phi",
+        f"{tuple_source(symbols('e', n))} = e",
+        *(stack_source(m) if filled else []),
+    ]
+    return function_source(
+        "rate(gamma, p_last, gram, phi_rhs, w, phi, e)",
+        [*unpack, *lines, f"return [{', '.join(rates)}]"],
+    )
 
 
 def weight_update_derivative(
@@ -210,5 +235,10 @@ def weight_update_derivative(
     e: Sequence[float],
     p: Sequence[Sequence[float]],
 ) -> list[float]:
-    """One evaluation of `weight_rate` on the stack as it is now; p is P as rows."""
-    return weight_rate(state, p[-1])(w, phi_now, e)
+    """One evaluation of `update_source`'s update law on the stack as it is
+    now; p is P as rows."""
+    stack = state.stack
+    n, m, filled = len(e), len(w), len(stack) > 0
+    name = f"<weight update n={n} m={m}{' filled' if filled else ''}>"
+    rate = compiled(name, lambda: _update_function(n, m, filled))["rate"]
+    return rate(state.gamma_w, p[-1], stack.gram, stack.phi_rhs, w, phi_now, e)

@@ -18,12 +18,12 @@ linear ramp -m*s/rho (standard boundary-layer smoothing).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import numerics
+from .numerics import compiled, dot_source, function_source, symbols, tuple_source
 from .plant import integrator_chain
 
 
@@ -96,33 +96,51 @@ def weighting_matrix(cfg: ControllerConfig) -> np.ndarray:
     return cfg.q + cfg.r * np.outer(cfg.gains, cfg.gains)
 
 
-def control_law(cfg: ControllerConfig, p_last: Sequence[float]):
-    """The control law with cfg and P's last row bound as locals: a function
-    (w, phi, e, xdot_n_ref, gp_mean) that returns the ControlBreakdown
-    fields as a plain tuple. This is the one definition of the law.
+def law_source(n: int, m: int, rob_enabled: bool) -> list[str]:
+    """The control law as lines of Python source, the one definition of it.
 
-    gp_mean must be 0 when GP compensation is inactive. The robustness
-    term is the boundary-layer saturation of s = b.T P e, whose magnitude
-    never exceeds the gain; the integrator chain's b picks P's last row.
-    The dot products are numerics.dot's sums, written out.
+    The lines read the weights w1..wm, the regressor f1..fm, the errors
+    e1..en, the reference feedforward u_ref and the GP mean u_gp (0 when
+    GP compensation is inactive), and the constants gain1..gainn, P's last
+    row p1..pn, m_rob and rho. They assign the ControlBreakdown fields
+    u_fbl, u_sfb, u_rob and u_total. The robustness term is the
+    boundary-layer saturation of s = b.T P e, whose magnitude never
+    exceeds the gain; the integrator chain's b picks P's last row.
     """
-    gains, m, rho, rob_enabled = cfg.gains, cfg.m, cfg.rho, cfg.rob_enabled
+    w, f, e = symbols("w", m), symbols("f", m), symbols("e", n)
+    lines = [
+        f"u_fbl = -({dot_source(w, f)})",
+        f"u_sfb = {dot_source(symbols('gain', n), e)}",
+    ]
+    if rob_enabled:
+        lines += [
+            f"s = {dot_source(symbols('p', n), e)}",
+            "if abs(s) > rho:",
+            "    u_rob = -m_rob if s > 0 else m_rob",
+            "else:",
+            "    u_rob = -m_rob * s / rho",
+        ]
+    else:
+        lines.append("u_rob = 0.0")
+    lines.append("u_total = u_fbl + u_sfb + u_ref - u_gp - u_rob")
+    return lines
 
-    def law(w, phi, e, xdot_n_ref, gp_mean):
-        u_fbl = -sum(map(mul, w, phi))
-        u_sfb = sum(map(mul, gains, e))
-        if rob_enabled:
-            s = sum(map(mul, p_last, e))
-            if abs(s) > rho:
-                u_rob = -m if s > 0 else m
-            else:
-                u_rob = -m * s / rho
-        else:
-            u_rob = 0.0
-        u_total = u_fbl + u_sfb + xdot_n_ref - gp_mean - u_rob
-        return u_fbl, u_sfb, xdot_n_ref, gp_mean, u_rob, u_total
 
-    return law
+def _law_function(n: int, m: int, rob_enabled: bool) -> str:
+    """Source of law(gains, p_last, m_rob, rho, w, phi, e, u_ref, u_gp),
+    which returns the ControlBreakdown fields."""
+    return function_source(
+        "law(gains, p_last, m_rob, rho, w, phi, e, u_ref, u_gp)",
+        [
+            f"{tuple_source(symbols('gain', n))} = gains",
+            f"{tuple_source(symbols('p', n))} = p_last",
+            f"{tuple_source(symbols('w', m))} = w",
+            f"{tuple_source(symbols('f', m))} = phi",
+            f"{tuple_source(symbols('e', n))} = e",
+            *law_source(n, m, rob_enabled),
+            "return u_fbl, u_sfb, u_ref, u_gp, u_rob, u_total",
+        ],
+    )
 
 
 def compute_control(
@@ -134,6 +152,9 @@ def compute_control(
     xdot_n_ref: float,
     gp_mean: float = 0.0,
 ) -> ControlBreakdown:
-    """One evaluation of `control_law` as a ControlBreakdown. p is P as
-    rows; a numpy matrix works too."""
-    return ControlBreakdown(*control_law(cfg, p[-1])(w, phi, e, xdot_n_ref, gp_mean))
+    """One evaluation of `law_source`'s control law as a ControlBreakdown.
+    p is P as rows; a numpy matrix works too."""
+    n, m = cfg.order, len(w)
+    name = f"<control law n={n} m={m}{' rob' if cfg.rob_enabled else ''}>"
+    law = compiled(name, lambda: _law_function(n, m, cfg.rob_enabled))["law"]
+    return ControlBreakdown(*law(cfg.gains, p[-1], cfg.m, cfg.rho, w, phi, e, xdot_n_ref, gp_mean))

@@ -1,14 +1,18 @@
-"""Dense linear algebra for small systems and fixed-step RK4 integration.
+"""Dense linear algebra for small systems, fixed-step RK4 integration,
+and the source helpers of the simulator's generated stepping kernel.
 
 Matrices are tiny (state order n <= 5, kernel windows ~100), so dense
 direct methods are used throughout. The integrator and the dot products
 work on plain float sequences: on vectors of 2-5 elements a numpy call
 costs far more in dispatch than in arithmetic.
+
+A dot product is 0.0 + a1*b1 + ... + an*bn, added left to right: `dot`
+computes it and `dot_source` writes it as Python source, so generated
+code and library code round alike on every CPython version.
 """
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,8 +74,53 @@ def solve_lyapunov(a_cl: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def dot(a: Sequence[float], b: Sequence[float]) -> float:
-    """Dot product of two short float sequences, summed left to right."""
-    return sum(map(mul, a, b))
+    """Dot product of two short float sequences, 0.0 + a1*b1 + ... + an*bn
+    added left to right. Entries may be numpy arrays of one shape, which
+    gives the dot product of each position."""
+    acc = 0.0
+    for ai, bi in zip(a, b):
+        acc = acc + ai * bi
+    return acc
+
+
+def symbols(prefix: str, count: int) -> list[str]:
+    """The names prefix1 .. prefix<count> of a generated source's scalars."""
+    return [f"{prefix}{i}" for i in range(1, count + 1)]
+
+
+def tuple_source(names: Sequence[str]) -> str:
+    """`a, b` for a tuple of names, `a,` for a tuple of one."""
+    return ", ".join(names) + ("," if len(names) == 1 else "")
+
+
+def dot_source(a: Sequence[str], b: Sequence[str]) -> str:
+    """`dot` as an expression on named scalars: 0.0 + a1 * b1 + ... ."""
+    return " + ".join(["0.0", *(f"{ai} * {bi}" for ai, bi in zip(a, b))])
+
+
+def function_source(signature: str, body: Sequence[str]) -> str:
+    """`def signature:` with the lines of body indented under it."""
+    return f"def {signature}:\n" + "".join(f"    {line}\n" if line else "\n" for line in body)
+
+
+# generated sources by file name; the name encodes everything the source depends on
+_COMPILED: dict[str, dict] = {}
+
+
+def compiled(filename: str, source: Callable[[], str]) -> dict:
+    """The namespace that the source returned by source() defines, compiled
+    once per filename. The source is registered in linecache under the
+    filename, so tracebacks and inspect.getsource show the generated lines."""
+    namespace = _COMPILED.get(filename)
+    if namespace is None:
+        import linecache
+
+        text = source()
+        namespace = {"__name__": __name__}
+        exec(compile(text, filename, "exec"), namespace)
+        linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+        _COMPILED[filename] = namespace
+    return namespace
 
 
 def quad_form(m: Sequence[Sequence[float]], v: Sequence[float]) -> float:

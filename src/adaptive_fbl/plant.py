@@ -6,7 +6,9 @@ The plant family is the single-input integrator chain
     xdot_n = w* . phi(x) + u + d(t, x)
 
 with known regressor phi, unknown ideal weights w*, and an external
-disturbance d. The built-in benchmark is a second-order system with
+disturbance d; `chain_source` writes these dynamics for the simulator's
+generated stepping kernel. The built-in benchmark is a second-order
+system with
 
     phi(theta, thetadot) = [sin(theta), |thetadot|*theta, exp(theta*thetadot)]
     w* = [1, -1, 0.5]
@@ -21,6 +23,8 @@ from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .numerics import dot_source, symbols
 
 BENCHMARK_NAME = "benchmark_5717148"
 BENCHMARK_IDEAL_WEIGHTS = np.array([1.0, -1.0, 0.5])
@@ -56,7 +60,8 @@ class Plant:
 class ReferenceModel:
     """Reference trajectory t -> (x_ref, xdot_n_ref).
 
-    Component i+1 of x_ref must be the time derivative of component i.
+    x_ref has one entry per plant state (check_reference_shape), and
+    component i+1 of x_ref must be the time derivative of component i.
     """
 
     trajectory: Callable[[float], tuple[Sequence[float], float]]
@@ -75,18 +80,21 @@ def check_regressor_shape(plant: Plant, x: Sequence[float]) -> None:
         raise ValueError(f"regressor returned {shape}, expected {plant.ideal_weights.shape}")
 
 
-def plant_dynamics(plant: Plant) -> Callable[[Sequence[float], Sequence[float], float, float], list[float]]:
-    """The plant's state derivative with its ideal weights bound: a function
-    (x, phi, u, d) -> xdot under control input u and disturbance d, phi
-    being eval_regressor(plant, x). This is the one definition of the chain
-    dynamics; its dot product is numerics.dot's sum, written out.
+def check_reference_shape(reference: ReferenceModel, order: int) -> None:
+    """Raise ValueError unless x_ref has one entry per state of the plant."""
+    x_ref, _ = reference.trajectory(0.0)
+    if len(x_ref) != order:
+        raise ValueError(f"reference returned {len(x_ref)} states, the plant has order {order}")
+
+
+def chain_source(n: int, m: int) -> tuple[list[str], list[str]]:
+    """The chain dynamics as Python source, the one definition of them:
+    (lines, names of xdot_1..xdot_n). The lines read the state x1..xn, the
+    regressor f1..fm, the ideal weights ws1..wsm, the control input
+    u_total and the disturbance d, and assign xdot_n to xd.
     """
-    weights = tuple(np.asarray(plant.ideal_weights, dtype=float).tolist())
-
-    def step(x, phi, u, d):
-        return [*x[1:], sum(map(mul, weights, phi)) + u + d]
-
-    return step
+    xd = f"xd = {dot_source(symbols('ws', m), symbols('f', m))} + u_total + d"
+    return [xd], [*symbols("x", n)[1:], "xd"]
 
 
 def _benchmark_regressor(x: Sequence[float]) -> tuple[float, float, float]:

@@ -24,14 +24,16 @@ The cases differ in which learning pieces are active:
 On a step that learns, the plant state and the weight estimate are
 integrated together as one RK4 state, so both advance at one integration
 order; every other step integrates x alone and leaves w as it is. The
-closed loop (control law, plant step and, when learning, weight rate) is
-one function bound once per run, with its constants as locals; the
-row evaluation that fills the trace at each step is the first RK4 stage,
-so one step costs four evaluations of it. The stepping core runs on plain
-float lists; numpy holds the trace and does the per-run setup. Each row
-is stored with one assignment into one preallocated buffer, whose column
-views are the trace's arrays, and the quadratic-form monitor runs once
-over the whole trace after the last step.
+stepping core is generated Python source on scalar locals (`step_kernel`):
+the row evaluation, the stage derivative (control law, plant step and,
+when learning, weight rate), k1's weight rate and a whole RK4 step,
+compiled once per plant shape and stage flags and bound to the run's
+constants. The row evaluation that fills the trace at each step is the
+first RK4 stage, so one step costs four evaluations of the closed loop.
+numpy holds the trace and does the per-run setup. Each row is stored with
+one assignment into one preallocated buffer, whose column views are the
+trace's arrays, and the quadratic-form monitor runs once over the whole
+trace after the last step.
 
 Given a CSV path, a run streams its trace to it: the buffer is a shared
 anonymous mapping, and a forked writer process formats each finished
@@ -46,33 +48,34 @@ import mmap
 import os
 from dataclasses import dataclass
 from itertools import repeat
-from operator import sub
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-# compute_control, eval_regressor and weight_update_derivative are imported
-# for bench/tracing.py, which patches them here by name
-from .concurrent_learning import HistoryStack, LearnerConfig, LearnerState, weight_rate
+# compute_control, eval_regressor, weight_update_derivative and rk4_step are
+# imported for bench/tracing.py, which patches them here by name
+from .concurrent_learning import HistoryStack, LearnerConfig, stack_source, update_source
 from .concurrent_learning import weight_update_derivative  # noqa: F401
 from .controller import (
     ControlBreakdown,
     ControllerConfig,
     compute_control,  # noqa: F401
     compute_P,
-    control_law,
+    law_source,
     weighting_matrix,
 )
 from .errors import NonFiniteValueError, StateEscapeError, TraceWriteError
 from .gp import GpConfig, GpModel, fit_workers, training_target
-from .numerics import dot, quad_form, rk4_step
+from .numerics import compiled, dot, dot_source, function_source, quad_form, symbols, tuple_source
+from .numerics import rk4_step  # noqa: F401
 from .plant import (
     Plant,
     ReferenceModel,
     benchmark_plant,
+    chain_source,
+    check_reference_shape,
     check_regressor_shape,
     eval_regressor,  # noqa: F401
-    plant_dynamics,
     sine_reference,
 )
 
@@ -422,6 +425,166 @@ def lyapunov_monitor(
     return v, vdot
 
 
+class StepKernel(NamedTuple):
+    """The stepping core of one stage as generated functions (`step_kernel`).
+
+    row(t, x, w) -> (cells, phi, e, xdot, u_total): the row at (t, x, w);
+        cells are the row buffer's values in order, phi is what the
+        regressor returned, e and xdot are tuples
+    rate(w, phi, e) -> the weight rates as a tuple, for k1 after the row's
+        record; None on a step that does not learn
+    derivative(t, *z) -> z's derivative as a tuple, z being (x1..xn, w1..wm)
+        on a step that learns, else (x1..xn) with w bound as it is
+    step(t, z, k1) -> z after one RK4 step as a list, k1 being z's
+        derivative at t: numerics.rk4_step's arithmetic, written out
+    """
+
+    row: Callable
+    rate: Callable | None
+    derivative: Callable
+    step: Callable
+
+
+def step_kernel(
+    cfg: ControllerConfig,
+    p_last: Sequence[float],
+    plant: Plant,
+    reference: ReferenceModel,
+    h: float,
+    w: Sequence[float],
+    *,
+    learning: bool,
+    disturbed: bool,
+    compensation: str | None = None,
+    gamma: float = 0.0,
+    stack: HistoryStack | None = None,
+    predict: Callable | None = None,
+    predict_mean: Callable | None = None,
+) -> StepKernel:
+    """The closed loop of one stage as a StepKernel bound to its constants.
+
+    compensation is None (u_gp = 0), "gp" (the GP's predict on rows and
+    predict_mean in stages) or "oracle" (the exact residual d - (w - w*) .
+    phi). A step that learns needs gamma and the record stack, whose Gram
+    rows are bound as they are now; a step that does not learn binds w.
+    The source is compiled once per (n, m, flags, rob_enabled, empty or
+    filled stack), under a file name that tracebacks show.
+    """
+    n, m = cfg.order, len(w)
+    filled = learning and len(stack) > 0
+    key = (n, m, learning, disturbed, compensation, cfg.rob_enabled, filled)
+    words = ("learning", "disturbed", compensation, "rob", "filled")
+    words = [word for word, on in zip(words, key[2:]) if on]
+    name = f"<step kernel n={n} m={m} {' '.join(words)}>"
+    bind = compiled(name, lambda: _kernel_source(*key))["bind"]
+    gram, phi_rhs = (stack.gram, stack.phi_rhs) if filled else ((), ())
+    w_star = np.asarray(plant.ideal_weights, dtype=float).tolist()
+    return StepKernel(
+        *bind(
+            cfg.gains, p_last, cfg.m, cfg.rho, w_star, w, gamma, gram, phi_rhs, h, 0.5 * h, h / 6.0,
+            reference.trajectory, plant.regressor, plant.disturbance, predict, predict_mean,
+        )
+    )
+
+
+def _kernel_source(n, m, learning, disturbed, compensation, rob_enabled, filled) -> str:
+    """Source of bind(...), which returns StepKernel's four functions: the
+    controller's law, the plant's chain and concurrent learning's update
+    law, each from its module, on the scalars x1..xn, w1..wm, f1..fm."""
+    x, w, f = symbols("x", n), symbols("w", m), symbols("f", m)
+    e, ref = symbols("e", n), symbols("ref", n)
+    chain, xdot = chain_source(n, m)
+    update, wdot = update_source(n, m, filled) if learning else ([], [])
+    z, zdot = (x + w, xdot + wdot) if learning else (x, xdot)
+    law_and_chain = [*law_source(n, m, rob_enabled), *chain]
+
+    def inputs(row: bool) -> list[str]:
+        """The reference, the errors, phi, d and u_gp (and gp_var on a row) at (t, x)."""
+        lines = [
+            "x_ref, u_ref = trajectory(t)",
+            f"{tuple_source(ref)} = x_ref",
+            *(f"{ei} = {ri} - {xi}" for ei, ri, xi in zip(e, ref, x)),
+            "phi = regressor(x)",
+            f"{tuple_source(f)} = phi",
+            "d = disturbance(t, x)" if disturbed else "d = 0.0",
+        ]
+        if compensation == "gp":
+            lines.append("u_gp, gp_var = predict(x)" if row else "u_gp = predict_mean(x)")
+        elif compensation == "oracle":
+            lines.append(f"u_gp = d - ({dot_source([f'({wj} - ws{j})' for j, wj in enumerate(w, 1)], f)})")
+        else:
+            lines.append("u_gp = 0.0")
+        if row and compensation != "gp":
+            lines.append("gp_var = 0.0")
+        return lines
+
+    cells = ["t", *x, *ref, *e, "u_fbl", "u_sfb", "u_ref", "u_gp", "u_rob", "u_total", *w]
+    cells += ["u_gp", "gp_var", "d", "-u_fbl + u_total + u_gp - xd"]  # the last is the bracket
+    row = function_source(
+        "row(t, x, w)",
+        [
+            f"{tuple_source(x)} = x",
+            f"{tuple_source(w)} = w",
+            *inputs(row=True),
+            *law_and_chain,
+            f"return [{', '.join(cells)}], phi, ({tuple_source(e)}), ({tuple_source(xdot)}), u_total",
+        ],
+    )
+    rate = function_source(
+        "rate(w, phi, e)",
+        [
+            f"{tuple_source(w)} = w",
+            f"{tuple_source(f)} = phi",
+            f"{tuple_source(e)} = e",
+            *update,
+            f"return {tuple_source(wdot)}",
+        ],
+    )
+    derivative = function_source(
+        f"derivative(t, {', '.join(z)})",
+        [f"x = [{', '.join(x)}]", *inputs(row=False), *law_and_chain, *update, f"return {tuple_source(zdot)}"],
+    )
+
+    def stage(k: int, at: str, scale: str) -> str:
+        state = ", ".join(f"{zi} + {scale} * k{k - 1}_{i}" for i, zi in enumerate(z, 1))
+        return f"{tuple_source(symbols(f'k{k}_', len(z)))} = derivative({at}, {state})"
+
+    combined = (
+        f"{zi} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i, zi in enumerate(z, 1)
+    )
+    step = function_source(
+        "step(t, z, k1)",
+        [
+            f"{tuple_source(z)} = z",
+            f"{tuple_source(symbols('k1_', len(z)))} = k1",
+            "tm = t + half",
+            stage(2, "tm", "half"),
+            stage(3, "tm", "half"),
+            stage(4, "t + h", "h"),
+            f"return [{', '.join(combined)}]",
+        ],
+    )
+    constants = [
+        f"{tuple_source(symbols('gain', n))} = gains",
+        f"{tuple_source(symbols('p', n))} = p_last",
+        f"{tuple_source(symbols('ws', m))} = w_star",
+    ]
+    if not learning:
+        constants.append(f"{tuple_source(w)} = w")
+    if filled:
+        constants += stack_source(m)
+    functions = [row, rate if learning else "", derivative, step]
+    return function_source(
+        "bind(gains, p_last, m_rob, rho, w_star, w, gamma, gram, phi_rhs, h, half, sixth,\n"
+        "         trajectory, regressor, disturbance, predict, predict_mean)",
+        [
+            *constants,
+            *"\n".join(functions).splitlines(),
+            f"return row, {'rate' if learning else 'None'}, derivative, step",
+        ],
+    )
+
+
 def run_case(
     scenario: Scenario,
     cfg: ControllerConfig | None = None,
@@ -477,7 +640,6 @@ def run_case(
     p_rows = compute_P(cfg).tolist()
     s_rows = weighting_matrix(cfg).tolist()
     w_star = plant.ideal_weights
-    w_star_list = w_star.tolist()
 
     h = scenario.h
     n_steps = int(round(scenario.duration / h))
@@ -487,7 +649,6 @@ def run_case(
     refit_every = max(1, int(round(gp_cfg.refit_period / h)))
 
     stack = HistoryStack(learner.stack_capacity)
-    lstate = LearnerState(gamma_w=learner.gamma_w, stack=stack)
     model = GpModel.from_config(gp_cfg, seed=seed) if scenario.gp_enabled and not oracle_gp else None
 
     rows = n_steps + 1
@@ -541,41 +702,21 @@ def run_case(
     x = [0.0] * n
     w = w0.tolist()
     check_regressor_shape(plant, x)
+    check_reference_shape(reference, n)
+    predict, predict_mean = (None, None) if model is None else (model.predict, model.predict_mean)
 
-    # the closed loop's constants, bound once per run
-    trajectory, regressor, disturbance = reference.trajectory, plant.regressor, plant.disturbance
-    law = control_law(cfg, p_rows[-1])
-    dynamics = plant_dynamics(plant)
-    wdot = weight_rate(lstate, p_rows[-1])  # rebound whenever the stack changes
-
-    def closed_loop(t, z, row=False):
-        """z's derivative under the current step's flags: control law, plant
-        step and, on a learning step, weight rate. z is x + w on a step that
-        learns, else x alone. A row (row=True) gets (x_ref, e, phi, gp_var,
-        bd, xdot, d), bd the ControlBreakdown fields; it is also the step's
-        k1, formed after try_record may have changed the stack."""
-        if z is z_step:
-            return k1
-        x, w_z = (z[:n], z[n:]) if learning else (z, w)
-        x_ref, xdot_n_ref = trajectory(t)
-        e = list(map(sub, x_ref, x))
-        phi = regressor(x)
-        d = disturbance(t, x) if disturbed else 0.0
-        g = g_var = 0.0
-        if compensating:
-            if oracle_gp:
-                g = d - dot(list(map(sub, w_z, w_star_list)), phi)
-            elif model.fitted:
-                g, g_var = model.predict(x) if row else (model.predict_mean(x), 0.0)
-        bd = law(w_z, phi, e, xdot_n_ref, g)
-        xdot = dynamics(x, phi, bd[-1], d)
-        if row:
-            return x_ref, e, phi, g_var, bd, xdot, d
-        return xdot + wdot(w_z, phi, e) if learning else xdot
+    def bind(flags, w):
+        """The kernel of a step with these flags, on the stack as it is now."""
+        learning, disturbed, compensation = flags
+        return step_kernel(
+            cfg, p_rows[-1], plant, reference, h, w,
+            learning=learning, disturbed=disturbed, compensation=compensation,
+            gamma=learner.gamma_w, stack=stack, predict=predict, predict_mean=predict_mean,
+        )
 
     writer = _CsvWriter(csv_path, trace_of) if csv_path is not None and hasattr(os, "fork") else None
     flush_at = EMIT_BLOCK_ROWS - 1 if writer is not None else -1  # the row that completes a block
-    z_step = None
+    bound = None  # the flags the kernel is bound for
     try:
         for i in range(rows):
             t = i * h
@@ -584,35 +725,35 @@ def run_case(
             # RK4 evaluation of the step that starts here read these flags.
             stage = 1 if i < i1 else (2 if i < i2 else 3)
             learning = scenario.cl_enabled and stage == 1
-            disturbed = scenario.disturbed and stage > 1
-            compensating = scenario.gp_enabled and stage == 3
 
             if model is not None and stage == 3 and (i - i2) % refit_every == 0 and len(model) >= 2:
                 if not model.fitted:  # the run's first fit starts its workers
                     model.workers = fit_workers(model.starts + 1)
                 model.fit()
 
-            z = x + w if learning else x
-            x_ref, e, phi, gp_var, bd, xdot, d = closed_loop(t, z, row=True)
+            compensation = None
+            if scenario.gp_enabled and stage == 3:
+                compensation = "oracle" if oracle_gp else ("gp" if model.fitted else None)
+            flags = (learning, scenario.disturbed and stage > 1, compensation)
+            if flags != bound:
+                row, rate, _, step = bind(flags, w)
+                bound = flags
 
-            xdot_n_meas = xdot[-1]
-            u_fbl, _, _, u_gp, _, u_total = bd
-            # -u_fbl is w . phi
-            bracket = -u_fbl + u_total + u_gp - xdot_n_meas
-            buf[i] = [t, *x, *x_ref, *e, *bd, *w, u_gp, gp_var, d, bracket]
+            cells, phi, e, xdot, u_total = row(t, x, w)
+            buf[i] = cells
             if i == flush_at:
                 writer.send(i + 1)
                 flush_at += EMIT_BLOCK_ROWS
 
+            xdot_n_meas = xdot[-1]
             if learning and i % rec_every == 0 and stack.try_record(phi, xdot_n_meas, u_total):
-                wdot = weight_rate(lstate, p_rows[-1])
+                row, rate, _, step = bind(flags, w)
             if model is not None and stage > 1 and (i - i1) % samp_every == 0:
                 model.observe(x, training_target(xdot_n_meas, w, phi, u_total))
 
             if i < n_steps:
-                k1 = xdot + wdot(w, phi, e) if learning else xdot
-                z_step = z
-                z_next = rk4_step(closed_loop, t, z, h)
+                z, k1 = (x + w, xdot + rate(w, phi, e)) if learning else (x, xdot)
+                z_next = step(t, z, k1)
                 x_next, w_next = (z_next[:n], z_next[n:]) if learning else (z_next, w)
                 # the run's one state check per step; nan fails the first test
                 finite = all(map(math.isfinite, z_next))
@@ -625,7 +766,7 @@ def run_case(
                 x, w = x_next, w_next
             elif not all(map(math.isfinite, xdot)):  # no step follows the final row
                 raise NonFiniteValueError(
-                    f"inf or nan on the final row at t={t:g}: (x, w) = {x + w}, xdot = {xdot}"
+                    f"inf or nan on the final row at t={t:g}: (x, w) = {x + w}, xdot = {list(xdot)}"
                 )
         trace = trace_of(0, rows)
         metrics = compute_metrics(trace, ref_amplitude)

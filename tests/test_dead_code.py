@@ -6,13 +6,14 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adaptive_fbl"
 
 # read by bench/tracing.py: the GP's likelihood and window, and the
-# simulator names it patches, which the bound closed loop no longer calls
+# simulator names it patches, which the generated stepping kernel does not call
 ALLOWED_UNREFERENCED = {
     "log_marginal_likelihood",
     "GpModel.inputs",
     "GpModel.targets",
     "compute_control",
     "weight_update_derivative",
+    "rk4_step",
 }
 
 

@@ -123,15 +123,28 @@ def test_cli_sets_one_blas_thread_unless_preset(tmp_path, preset):
             GP_CONFIG.format(starts=starts) + f"out = {tmp_path / f'out{starts}'}\n"
         )
     result = run_child(
-        "import json, os, sys\n"
+        "import json, os, sys, time\n"
         "from adaptive_fbl.cli import main\n"
         f"threads = lambda: len(os.listdir({TASKS!r})) if os.path.isdir({TASKS!r}) else 0\n"
+        # A thread that has ended leaves the OS list up to a few tenths of a
+        # millisecond later (the pool's manager thread after shutdown()), so
+        # the count is read until it stops falling, for at most 1 s. A
+        # thread that outlives the run keeps the count up.
+        "def settled():\n"
+        "    count, deadline = threads(), time.monotonic() + 1.0\n"
+        "    while time.monotonic() < deadline:\n"
+        "        time.sleep(0.01)\n"
+        "        now = threads()\n"
+        "        if now >= count:\n"
+        "            return now\n"
+        "        count = now\n"
+        "    return count\n"
         # a warm-up fork parks numpy's OpenBLAS threads, as each run's own
         # fork of its CSV writer does, so the count after it is the baseline
         "pid = os.fork()\n"
         "os._exit(0) if pid == 0 else os.waitpid(pid, 0)\n"
         "before = threads()\n"
-        "runs = [[main(['--config', f'gp{s}.cfg']), threads() - before] for s in (0, 2)]\n"
+        "runs = [[main(['--config', f'gp{s}.cfg']), settled() - before] for s in (0, 2)]\n"
         "import multiprocessing, threading\n"
         f"print(json.dumps([runs, {SCIPY_LOADED}, os.environ.get('OPENBLAS_NUM_THREADS'),"
         " len(multiprocessing.active_children()), threading.active_count()]))\n",

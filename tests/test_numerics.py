@@ -1,3 +1,4 @@
+import math
 from operator import mul
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from adaptive_fbl.errors import NotHurwitzError
-from adaptive_fbl.numerics import rk4_step, solve_lyapunov
+from adaptive_fbl.numerics import dot, dot_source, rk4_step, solve_lyapunov
 
 
 def random_spd(rng, n):
@@ -125,3 +126,22 @@ class TestRk4:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             rk4_step(lambda t, x: x, 0.0, np.array([1.0]), 0.0)
+
+
+class TestDot:
+    def test_adds_left_to_right_from_zero(self):
+        """No compensated summation, on any CPython: 1e16 + 1.0 rounds back
+        to 1e16, so the sum is 0.0 (a compensated sum gives 1.0)."""
+        assert dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
+        assert dot([0.1] * 10, [1.0] * 10) == 0.9999999999999999
+
+    def test_negative_zero_product_adds_to_zero(self):
+        assert math.copysign(1.0, dot([-0.0], [1.0])) == 1.0
+
+    @settings(max_examples=50)
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=5))
+    def test_source_form_gives_the_same_bits(self, pairs):
+        a, b = (list(v) for v in zip(*pairs))
+        names = {f"a{i}": v for i, v in enumerate(a)} | {f"b{i}": v for i, v in enumerate(b)}
+        source = dot_source([f"a{i}" for i in range(len(a))], [f"b{i}" for i in range(len(b))])
+        assert eval(source, names).hex() == dot(a, b).hex()

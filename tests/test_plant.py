@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from adaptive_fbl.numerics import rk4_step
+from adaptive_fbl.numerics import function_source, rk4_step, symbols, tuple_source
 from adaptive_fbl.plant import (
     benchmark_plant,
+    chain_source,
     eval_regressor,
     integrator_chain,
-    plant_dynamics,
     sine_reference,
 )
 
@@ -16,6 +16,25 @@ from adaptive_fbl.plant import (
 @pytest.fixture
 def plant():
     return benchmark_plant()
+
+
+def plant_dynamics(plant):
+    """The plant's state derivative (x, phi, u, d) -> xdot, compiled from
+    the lines chain_source gives the simulator's stepping kernel."""
+    n, m = plant.order, plant.ideal_weights.size
+    lines, xdot = chain_source(n, m)
+    source = function_source(
+        "dynamics(x, phi, u_total, d)",
+        [
+            f"{tuple_source(symbols('x', n))} = x",
+            f"{tuple_source(symbols('f', m))} = phi",
+            *lines,
+            f"return [{', '.join(xdot)}]",
+        ],
+    )
+    namespace = {f"ws{j}": v for j, v in enumerate(plant.ideal_weights.tolist(), 1)}
+    exec(source, namespace)
+    return namespace["dynamics"]
 
 
 class TestRegressor:

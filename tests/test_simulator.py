@@ -90,20 +90,20 @@ class TestScenario:
         assert scenario_for_case("b", h=0.5, t1=10.0, t2=10.0).t2 == 10.0
 
     def test_controller_order_must_match_plant(self, monkeypatch):
-        """Three gains on the order-2 plant fail before the control law is
-        ever bound, instead of running on a truncated dot product."""
+        """Three gains on the order-2 plant fail before a stepping kernel is
+        ever bound, instead of failing inside its first row."""
         calls = Counter()
-        original = simulator.control_law
+        original = simulator.step_kernel
 
         def counted(*args, **kwargs):
-            calls["control_law"] += 1
+            calls["step_kernel"] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(simulator, "control_law", counted)
+        monkeypatch.setattr(simulator, "step_kernel", counted)
         cfg = ControllerConfig(gains=(20.0, 20.0, 20.0))
         with pytest.raises(ValueError, match="3 gains, plant has order 2"):
             run_case(scenario_for_case("a", duration=1.0), cfg=cfg)
-        assert calls["control_law"] == 0
+        assert calls["step_kernel"] == 0
 
 
 class TestTraceContracts:
@@ -293,9 +293,9 @@ class TestLinearClosedLoopEquivalence:
 class TestSteppingCore:
     def test_four_closed_loop_evaluations_per_step(self, monkeypatch):
         """A step evaluates the closed loop four times, once per RK4 stage:
-        its row's evaluation is the first stage, k1, and each later stage
-        is one evaluation, all in one rk4_step call. Only a step that
-        learns integrates w with x and takes weight rates."""
+        its row's evaluation is the first stage, k1, and the step's three
+        later stages are one evaluation each. Only a step that learns
+        integrates w with x and takes k1's weight rate."""
         counts = Counter()
         plant, reference = benchmark_plant(), sine_reference()
 
@@ -312,41 +312,36 @@ class TestSteppingCore:
             regressor=counted("regressor", plant.regressor),
             disturbance=plant.disturbance,
         )
-        bind_rate = simulator.weight_rate
-        monkeypatch.setattr(
-            simulator, "weight_rate", lambda *args: counted("weight_rate", bind_rate(*args))
-        )
-        rk4 = simulator.rk4_step
-        state_sizes, stage_evaluations = [], []
+        bind = simulator.step_kernel
+        state_sizes, step_evaluations = [], []
 
-        def positional_rk4(f, t, z, h):
-            state_sizes.append(len(z))
-            per_stage = []
+        def observed(*args, **kwargs):
+            kernel = bind(*args, **kwargs)
 
-            def stage(tt, zz):
+            def step(t, z, k1):
                 before = counts["regressor"]
-                k = f(tt, zz)
-                per_stage.append(counts["regressor"] - before)
-                return k
+                state_sizes.append(len(z))
+                z_next = kernel.step(t, z, k1)
+                step_evaluations.append(counts["regressor"] - before)
+                return z_next
 
-            stage_evaluations.append(per_stage)
-            # hand on a wrapped f, as a tracer does
-            return rk4(stage, t, z, h)
+            rate = kernel.rate and counted("rate", kernel.rate)
+            return kernel._replace(step=step, rate=rate)
 
-        monkeypatch.setattr(simulator, "rk4_step", positional_rk4)
+        monkeypatch.setattr(simulator, "step_kernel", observed)
         learning, steps = 10, 20
         scn = scenario_for_case("b", duration=steps * 1e-3, t1=learning * 1e-3, t2=0.015)
         counted_reference = ReferenceModel(counted("trajectory", reference.trajectory))
         run_case(scn, plant=counted_plant, reference=counted_reference)
-        # one rk4_step per step; the row's evaluation is reused as k1
-        assert stage_evaluations == [[0, 1, 1, 1]] * steps
-        # each step's row and three stages, the final row, and the shape check
-        assert counts["trajectory"] == 4 * steps + 1
+        # three stages inside each step; the row's evaluation is its k1
+        assert step_evaluations == [3] * steps
+        # each step's row and three stages, the final row, and the shape checks
+        assert counts["trajectory"] == 4 * steps + 2
         assert counts["regressor"] == 4 * steps + 2
-        # (x, w) on learning steps, x alone after them; k1 and three stages
-        # take weight rates on learning steps only
+        # (x, w) on learning steps, x alone after them; k1's weight rate is
+        # taken on learning steps only
         assert state_sizes == [5] * learning + [2] * (steps - learning)
-        assert counts["weight_rate"] == 4 * learning
+        assert counts["rate"] == learning
 
 
 class TestMetrics:
@@ -616,3 +611,11 @@ class TestPlantShape:
         )
         with pytest.raises(ValueError, match="regressor returned"):
             run_case(scenario_for_case("a", duration=1.0), plant=short)
+
+    @pytest.mark.parametrize("states", [1, 3])
+    def test_reference_length_checked_before_stepping(self, states):
+        """A reference with the wrong number of states is refused at the
+        run's start with both lengths, not inside the row store."""
+        wrong = ReferenceModel(lambda t: ([math.sin(t)] * states, 0.0))
+        with pytest.raises(ValueError, match=f"reference returned {states} states, the plant has order 2"):
+            run_case(scenario_for_case("a", duration=1.0), reference=wrong)
