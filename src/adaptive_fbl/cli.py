@@ -65,7 +65,6 @@ class RunConfig:
     gp_sample_period: float = 0.1
     gp_refit_period: float = 0.5
     gp_starts: int = 5
-    gp_lengthscale_mode: str = "shared"
     gp_sigma_n_floor: float = 1e-4
 
     def scenario(self, case_id: str) -> Scenario:
@@ -113,7 +112,6 @@ class RunConfig:
             sample_period=self.gp_sample_period,
             refit_period=self.gp_refit_period,
             starts=self.gp_starts,
-            lengthscale_mode=self.gp_lengthscale_mode,
             sigma_n_floor=self.gp_sigma_n_floor,
         )
 
@@ -202,15 +200,6 @@ def _matrix(name):
     return check
 
 
-def _choice(name, options):
-    def check(v):
-        if v not in options:
-            raise OutOfRangeError(f"{name} must be one of {options}, got {v!r}")
-        return v
-
-    return check
-
-
 def _string(name):
     def check(v):
         if not isinstance(v, str) or not v:
@@ -241,7 +230,6 @@ _KEYS = {
     "gp_sample_period": _positive("gp_sample_period"),
     "gp_refit_period": _positive("gp_refit_period"),
     "gp_starts": _positive_int("gp_starts", minimum=0),
-    "gp_lengthscale_mode": _choice("gp_lengthscale_mode", ("shared", "per_dim")),
     "gp_sigma_n_floor": _positive("gp_sigma_n_floor"),
 }
 

@@ -1,7 +1,8 @@
 """Sliding-window Gaussian-process regression of the control-input mismatch.
 
-Exact inference with a squared-exponential kernel. The model regresses
-from system states to the target
+Exact inference with a squared-exponential kernel whose one length scale
+is shared by every state dimension. The model regresses from system
+states to the target
 
     y = xdot_n_measured - w . phi(x) - u_applied
 
@@ -9,10 +10,12 @@ which algebraically equals d - (w - w*) . phi(x): the disturbance plus
 whatever the weight estimate still gets wrong. Subtracting the posterior
 mean of this quantity in the control law cancels both at once.
 
-Hyperparameters (signal scale, length scale, noise scale) are refit by
-multi-start gradient ascent on the log marginal likelihood. The noise
-scale is a learned parameter with a small floor; a noise-free kernel
-matrix is not invertible reliably enough for online use.
+The three hyperparameters (signal scale, length scale, noise scale) are
+refit by multi-start gradient ascent on the log marginal likelihood. The
+noise scale is a learned parameter with a small floor; a noise-free kernel
+matrix is not invertible reliably enough for online use. The gradient
+sums its n x n products with numpy's own sum, not a BLAS dot product, so a
+fit does not depend on how many threads numpy's BLAS runs.
 
 Predictions read a snapshot frozen at the last fit, so observations can
 stream in between refits without perturbing the controller mid-step.
@@ -98,37 +101,39 @@ def fit_workers(starts: int):
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Squared-exponential kernel parameters.
+    """Squared-exponential kernel parameters, with one length scale shared
+    by every input dimension.
 
-    length_scale is a scalar (shared across input dimensions) or a vector
-    with one entry per input dimension.
+    length_scale is held as a numpy float64, so its square and logarithm
+    round as numpy's arithmetic does wherever they are taken.
     """
 
     sigma_f: float = 1.0
-    length_scale: float | np.ndarray = 1.0
+    length_scale: float = 1.0
     sigma_n: float = 0.1
 
     def __post_init__(self):
-        ls = np.atleast_1d(np.asarray(self.length_scale, dtype=float))
-        object.__setattr__(self, "length_scale", ls)
-        if self.sigma_f <= 0 or np.any(ls <= 0):
-            raise ValueError("sigma_f and length scales must be positive")
-        if self.sigma_n < 0:
-            raise ValueError("sigma_n must be non-negative")
+        ls = np.asarray(self.length_scale, dtype=float)
+        if ls.shape != ():
+            raise ValueError(f"length_scale must be one number, got shape {ls.shape}")
+        object.__setattr__(self, "length_scale", ls[()])
+        for name in ("sigma_f", "length_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (math.isfinite(self.sigma_n) and self.sigma_n >= 0):
+            raise ValueError(f"sigma_n must be non-negative and finite, got {self.sigma_n!r}")
 
     def log_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [[math.log(self.sigma_f)], np.log(self.length_scale), [math.log(max(self.sigma_n, 1e-300))]]
-        )
+        """(log sigma_f, log length_scale, log sigma_n)."""
+        return np.array([math.log(self.sigma_f), np.log(self.length_scale), math.log(max(self.sigma_n, 1e-300))])
 
     @staticmethod
     def from_log_vector(theta: np.ndarray) -> "Hyperparams":
         theta = np.asarray(theta, dtype=float)
-        return Hyperparams(
-            sigma_f=math.exp(theta[0]),
-            length_scale=np.exp(theta[1:-1]),
-            sigma_n=math.exp(theta[-1]),
-        )
+        if theta.shape != (3,):
+            raise ValueError(f"a log vector holds 3 entries, got shape {theta.shape}")
+        return Hyperparams(sigma_f=math.exp(theta[0]), length_scale=np.exp(theta[1]), sigma_n=math.exp(theta[2]))
 
 
 @dataclass
@@ -139,7 +144,6 @@ class GpConfig:
     sample_period: float = 0.1
     refit_period: float = 0.5
     starts: int = 5
-    lengthscale_mode: str = "shared"
     sigma_n_floor: float = 1e-4
 
     def __post_init__(self):
@@ -149,8 +153,6 @@ class GpConfig:
             raise ValueError("sample and refit periods must be positive")
         if self.starts < 0:
             raise ValueError("starts must be >= 0")
-        if self.lengthscale_mode not in ("shared", "per_dim"):
-            raise ValueError("lengthscale_mode must be 'shared' or 'per_dim'")
         if self.sigma_n_floor <= 0:
             raise ValueError("sigma_n_floor must be positive")
 
@@ -169,10 +171,9 @@ class _Likelihood:
     """Log marginal likelihood of one training window (x, y).
 
     A fit evaluates the likelihood hundreds of times on the same window,
-    so the pairwise squared differences of the inputs are taken once, per
-    dimension. An evaluation builds K from them in place (scale by
-    -1/(2 l^2), exponentiate, multiply by sigma_f^2) and factors with
-    LAPACK directly. The targets are checked for inf and nan here, once;
+    so the pairwise squared distances of the inputs are taken once. An
+    evaluation builds K from them in place (scale by -1/(2 l^2),
+    exponentiate, multiply by sigma_f^2) and factors with LAPACK directly. The targets are checked for inf and nan here, once;
     the factorization does not look at them.
     """
 
@@ -182,17 +183,12 @@ class _Likelihood:
         self.x, self.y = x, y
         cols = x.T
         diff = cols[:, :, None] - cols[:, None, :]
-        self.sqdiff = diff * diff  # (dim, n, n)
-        self.sqdist = self.sqdiff.sum(axis=0)
+        self.sqdist = (diff * diff).sum(axis=0)
 
     def evaluate(self, hyper: Hyperparams) -> _Evaluation:
         """Raises NotPositiveDefiniteError if K + (sigma_n^2 + jitter) I
         fails its factorization or holds inf or nan."""
-        ls = hyper.length_scale
-        if ls.size == 1:
-            k = np.multiply(self.sqdist, -0.5 / ls[0] ** 2)
-        else:
-            k = np.tensordot(-0.5 * ls**-2.0, self.sqdiff, axes=1)
+        k = np.multiply(self.sqdist, -0.5 / hyper.length_scale**2)
         np.exp(k, out=k)
         sf2, sn2 = hyper.sigma_f**2, hyper.sigma_n**2
         k *= sf2
@@ -211,7 +207,7 @@ class _Likelihood:
         return _Evaluation(value, k, chol, alpha)
 
     def gradient(self, hyper: Hyperparams, ev: _Evaluation) -> np.ndarray:
-        """GPML eq. 5.9 with respect to (log sigma_f, log length_scale...,
+        """GPML eq. 5.9 with respect to (log sigma_f, log length_scale,
         log sigma_n): 1/2 tr((alpha alpha^T - Ky^-1) dKy/dtheta).
 
         The jitter JITTER_REL (sigma_f^2 + sigma_n^2) is held constant: its
@@ -224,19 +220,20 @@ class _Likelihood:
         triangle of the factor and dpotri writes only the lower one, so U,
         the C-ordered view of its result, is Ky^-1's upper triangle with
         zeros below. For symmetric M, tr(Ky^-1 M) = 2 sum(U * M) -
-        diag(Ky^-1) . diag(M), where diag K = sigma_f^2 and diag of K * D_d
-        (D_d: squared differences along dimension d) is zero.
+        diag(Ky^-1) . diag(M), where diag K = sigma_f^2 and diag of K * D
+        (D: the squared distances) is zero. sum(U * M) is numpy's own sum,
+        not a BLAS dot product: on an n x n matrix (40 000 entries at n =
+        200) the BLAS one rounds differently with each thread count, so the
+        fit, and the trace, would depend on the caller's BLAS threads.
         """
         _, dpotri, _, _ = _lapack()
         b, _ = dpotri(ev.chol, lower=1)
         u = b.T
         alpha, k = ev.alpha, ev.k
         tr_inv = float(np.trace(u))
-        grads = [float(alpha @ (k @ alpha)) - 2.0 * float(np.vdot(u, k)) + hyper.sigma_f**2 * tr_inv]
-        ls = hyper.length_scale
-        for d2, ell in zip([self.sqdist] if ls.size == 1 else self.sqdiff, ls):
-            kd = k * d2
-            grads.append(0.5 / ell**2 * (float(alpha @ (kd @ alpha)) - 2.0 * float(np.vdot(u, kd))))
+        grads = [float(alpha @ (k @ alpha)) - 2.0 * float((u * k).sum()) + hyper.sigma_f**2 * tr_inv]
+        kd = k * self.sqdist
+        grads.append(0.5 / hyper.length_scale**2 * (float(alpha @ (kd @ alpha)) - 2.0 * float((u * kd).sum())))
         grads.append(hyper.sigma_n**2 * (float(alpha @ alpha) - tr_inv))
         return np.array(grads)
 
@@ -250,6 +247,10 @@ def _clamp(theta: np.ndarray, sigma_n_floor: float) -> np.ndarray:
 def _ascend(lml: _Likelihood, theta: np.ndarray, sigma_n_floor: float) -> tuple[float, np.ndarray] | None:
     """Backtracking gradient ascent from one start; None if it never
     produced a positive-definite kernel matrix.
+
+    A point that is not finite (a gradient of inf or nan makes one) is
+    rejected as a failed factorization is: Hyperparams raises ValueError
+    for it.
 
     Steps follow the normalized gradient and are clamped to the
     bounds; the trial step is halved on rejection and doubled (up to 1)
@@ -268,10 +269,10 @@ def _ascend(lml: _Likelihood, theta: np.ndarray, sigma_n_floor: float) -> tuple[
     STEP_TOL, so a start can stop with its gradient far from zero.
     """
     theta = _clamp(theta.copy(), sigma_n_floor)
-    hyper = Hyperparams.from_log_vector(theta)
     try:
+        hyper = Hyperparams.from_log_vector(theta)
         ev = lml.evaluate(hyper)
-    except NotPositiveDefiniteError:
+    except (NotPositiveDefiniteError, ValueError):
         return None
     value = ev.value
     grad = lml.gradient(hyper, ev)
@@ -284,10 +285,10 @@ def _ascend(lml: _Likelihood, theta: np.ndarray, sigma_n_floor: float) -> tuple[
         moved = False
         while step > STEP_TOL:
             cand = _clamp(theta + step * direction, sigma_n_floor)
-            hyper_cand = Hyperparams.from_log_vector(cand)
             try:
+                hyper_cand = Hyperparams.from_log_vector(cand)
                 ev = lml.evaluate(hyper_cand)
-            except NotPositiveDefiniteError:
+            except (NotPositiveDefiniteError, ValueError):
                 step *= 0.5
                 continue
             if ev.value > value:
@@ -317,7 +318,7 @@ def log_marginal_likelihood(
     """Exact-GP log marginal likelihood and its gradient.
 
     The gradient is taken with respect to the log hyperparameters, ordered
-    (log sigma_f, log length_scale..., log sigma_n).
+    (log sigma_f, log length_scale, log sigma_n).
     """
     lml = _Likelihood(np.atleast_2d(np.asarray(x, dtype=float)), np.asarray(y, dtype=float))
     ev = lml.evaluate(hyper)
@@ -344,14 +345,12 @@ class GpModel:
         hyper: Hyperparams | None = None,
         starts: int = 5,
         sigma_n_floor: float = 1e-4,
-        per_dim_lengthscale: bool = False,
         seed: int = 0,
     ):
         self.window = window
         self.hyper = hyper if hyper is not None else Hyperparams()
         self.starts = starts
         self.sigma_n_floor = sigma_n_floor
-        self.per_dim_lengthscale = per_dim_lengthscale
         self.seed = seed
         self._inputs: list[np.ndarray] = []
         self._targets: list[float] = []
@@ -359,7 +358,6 @@ class GpModel:
         self._snap_x: np.ndarray | None = None
         self._snap_chol: np.ndarray | None = None
         self._snap_alpha: np.ndarray | None = None
-        self._snap_hyper: Hyperparams | None = None
         # an executor from fit_workers whose processes ascend some of each
         # fit's starts, or None to ascend all of them here; its owner shuts
         # it down
@@ -371,7 +369,6 @@ class GpModel:
             window=cfg.window,
             starts=cfg.starts,
             sigma_n_floor=cfg.sigma_n_floor,
-            per_dim_lengthscale=(cfg.lengthscale_mode == "per_dim"),
             seed=seed,
         )
 
@@ -398,29 +395,18 @@ class GpModel:
             self._inputs.pop(0)
             self._targets.pop(0)
 
-    def _start_points(self, lml: _Likelihood, n_ls: int) -> list[np.ndarray]:
-        incumbent = self.hyper.log_vector()
-        if incumbent.size != n_ls + 2:
-            # promote/demote the length-scale block to the requested layout
-            ls = float(np.exp(np.mean(incumbent[1:-1])))
-            incumbent = np.concatenate([[incumbent[0]], np.full(n_ls, math.log(ls)), [incumbent[-1]]])
-        points = [incumbent]
+    def _start_points(self, lml: _Likelihood) -> list[np.ndarray]:
+        """The incumbent's log vector, then `starts` random ones around the
+        targets' spread and the inputs' median distance."""
+        points = [self.hyper.log_vector()]
         rng = np.random.default_rng(self.seed)
         y_scale = max(float(np.std(lml.y)), 1e-3)
-        if len(lml.y) > 1:
-            dists = np.sqrt(lml.sqdist)
-            d_scale = max(float(np.median(dists[dists > 0])) if np.any(dists > 0) else 1.0, 1e-3)
-        else:
-            d_scale = 1.0
+        dists = np.sqrt(lml.sqdist)
+        d_scale = max(float(np.median(dists[dists > 0])) if np.any(dists > 0) else 1.0, 1e-3)
+        log_y, log_d = math.log(y_scale), math.log(d_scale)
         for _ in range(self.starts):
-            theta = np.concatenate(
-                [
-                    [math.log(y_scale) + rng.uniform(-1.5, 1.5)],
-                    math.log(d_scale) + rng.uniform(-1.5, 1.5, size=n_ls),
-                    [math.log(y_scale) + rng.uniform(-4.5, -0.5)],
-                ]
-            )
-            points.append(theta)
+            theta = [log_y + rng.uniform(-1.5, 1.5), log_d + rng.uniform(-1.5, 1.5), log_y + rng.uniform(-4.5, -0.5)]
+            points.append(np.array(theta))
         return points
 
     def refresh(self, hyper: Hyperparams | None = None, lml: _Likelihood | None = None) -> "GpModel":
@@ -442,7 +428,6 @@ class GpModel:
         self._snap_x = lml.x
         self._snap_chol = ev.chol
         self._snap_alpha = ev.alpha
-        self._snap_hyper = hyper
         return self
 
     def fit(self) -> "GpModel":
@@ -463,9 +448,8 @@ class GpModel:
             raise ValueError("fit requires at least 2 training points")
         x = np.array(self._inputs)
         lml = _Likelihood(x, np.array(self._targets))
-        n_ls = x.shape[1] if self.per_dim_lengthscale else 1
 
-        starts = self._start_points(lml, n_ls)
+        starts = self._start_points(lml)
         floor = self.sigma_n_floor
         p = 1 if self.workers is None else min(len(starts), usable_cpus())
         chunks = [self.workers.submit(_ascend_starts, x, lml.y, starts[k::p], floor) for k in range(1, p)]
@@ -490,7 +474,7 @@ class GpModel:
         """
         if not self.fitted:
             raise UnfittedModelError("model has no fitted snapshot")
-        hyper = self._snap_hyper
+        hyper = self.hyper
         z = (self._snap_x - np.asarray(x_star, dtype=float)) / hyper.length_scale
         return hyper.sigma_f**2 * np.exp(-0.5 * np.einsum("ij,ij->i", z, z))
 
@@ -507,7 +491,7 @@ class GpModel:
             raise NonFiniteValueError("query state gives a non-finite posterior mean")
         _, _, _, dtrsv = _lapack()
         v = dtrsv(self._snap_chol, k_star, lower=1)
-        var = self._snap_hyper.sigma_f**2 - float(v @ v)
+        var = self.hyper.sigma_f**2 - float(v @ v)
         return mean, max(var, 0.0)
 
     def predict_mean(self, x_star: np.ndarray) -> float:

@@ -345,6 +345,7 @@ class TestMain:
             pytest.param("cases = a,e\ngp_enabled = false", id="gp_enabled"),
             pytest.param("plant = benchmark_5717148", id="plant"),
             pytest.param("reference = sine", id="reference"),
+            pytest.param("gp_lengthscale_mode = shared", id="gp_lengthscale_mode"),
         ],
     )
     def test_deleted_option_exits_2_before_any_case(self, tmp_path, capsys, text):

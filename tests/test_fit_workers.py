@@ -122,7 +122,7 @@ def test_a_tie_goes_to_the_earliest_start_whichever_process_ascended_it(cpus, mo
     )
     cpus(3)  # chunks [0, 3] here, [1, 4] and [2] in two workers
     model = window_model(starts=4)
-    starts = model._start_points(gp._Likelihood(model.inputs, model.targets), 1)
+    starts = model._start_points(gp._Likelihood(model.inputs, model.targets))
     model.workers = fit_workers(model.starts + 1)
     try:
         model.fit()

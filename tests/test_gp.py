@@ -46,8 +46,8 @@ def reference_lml(x, y, hyper):
     """Log marginal likelihood and its gradient (GPML eq. 5.9) from direct
     differences, numpy.linalg.inv and slogdet. The jitter is held constant
     in the gradient, as in the model."""
-    n, dim = x.shape
-    d2 = ((x[:, None, :] - x[None, :, :]) / hyper.length_scale) ** 2  # (n, n, dim)
+    n = x.shape[0]
+    d2 = np.sum(((x[:, None, :] - x[None, :, :]) / hyper.length_scale) ** 2, axis=-1)
     k = kernel_matrix(x, x, hyper)
     ky = noisy_gram(x, hyper)
     ky_inv = np.linalg.inv(ky)
@@ -55,12 +55,7 @@ def reference_lml(x, y, hyper):
     _, logdet = np.linalg.slogdet(ky)
     value = -0.5 * float(y @ alpha) - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi)
     a = np.outer(alpha, alpha) - ky_inv
-    grad = [np.sum(a * k)]
-    if hyper.length_scale.size == 1:
-        grad.append(0.5 * np.sum(a * k * d2.sum(axis=-1)))
-    else:
-        grad.extend(0.5 * np.sum(a * k * d2[:, :, i]) for i in range(dim))
-    grad.append(hyper.sigma_n**2 * np.trace(a))
+    grad = [np.sum(a * k), 0.5 * np.sum(a * k * d2), hyper.sigma_n**2 * np.trace(a)]
     return value, np.array(grad)
 
 
@@ -118,6 +113,44 @@ class TestKernel:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kernel(np.zeros(2), np.zeros(3), Hyperparams())
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma_f", math.nan),
+            ("sigma_f", math.inf),
+            ("sigma_f", 0.0),
+            ("length_scale", math.nan),
+            ("length_scale", math.inf),
+            ("length_scale", -0.7),
+            ("sigma_n", math.nan),
+            ("sigma_n", math.inf),
+            ("sigma_n", -0.1),
+        ],
+    )
+    def test_rejects_out_of_range_value(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            Hyperparams(**{field: value})
+
+    @pytest.mark.parametrize("length_scale", [[0.5, 1.3], np.array([0.7])])
+    def test_rejects_a_length_scale_per_dimension(self, length_scale):
+        with pytest.raises(ValueError, match=r"^length_scale must be one number, got shape \((1|2),\)"):
+            Hyperparams(length_scale=length_scale)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_log_vector_holds_three_entries(self, size):
+        with pytest.raises(ValueError, match=rf"got shape \({size},\)"):
+            Hyperparams.from_log_vector(np.zeros(size))
+
+    def test_log_vector_round_trip(self):
+        h = Hyperparams(sigma_f=1.3, length_scale=0.7, sigma_n=0.2)
+        assert type(h.length_scale) is np.float64
+        back = Hyperparams.from_log_vector(h.log_vector())
+        np.testing.assert_allclose(
+            [back.sigma_f, back.length_scale, back.sigma_n], [1.3, 0.7, 0.2], rtol=1e-15
+        )
 
 
 class TestPredict:
@@ -229,38 +262,22 @@ class TestLogMarginalLikelihood:
                 fd[j] = (v_up - v_dn) / (2 * eps)
             assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-5
 
-    def test_gradient_per_dimension_lengthscales(self):
-        rng = np.random.default_rng(16)
-        x = rng.uniform(-2, 2, size=(10, 2))
-        y = rng.standard_normal(10)
-        hyper = Hyperparams(1.0, np.array([0.5, 1.3]), 0.3)
-        _, grad = log_marginal_likelihood(x, y, hyper)
-        theta = hyper.log_vector()
-        eps = 1e-5
-        for j in range(theta.size):
-            up, down = theta.copy(), theta.copy()
-            up[j] += eps
-            down[j] -= eps
-            v_up, _ = log_marginal_likelihood(x, y, Hyperparams.from_log_vector(up))
-            v_dn, _ = log_marginal_likelihood(x, y, Hyperparams.from_log_vector(down))
-            assert abs(grad[j] - (v_up - v_dn) / (2 * eps)) <= 1e-5 * max(abs(grad[j]), 1.0)
-
     @pytest.mark.parametrize("n", [2, 50, 200])
-    @pytest.mark.parametrize("length_scale", [0.7, (0.5, 1.3)])
+    @pytest.mark.parametrize("length_scale", [0.7])
     @pytest.mark.parametrize("sigma_n", [0.1, 1e-4])
     def test_matches_direct_inversion_reference(self, n, length_scale, sigma_n):
         rng = np.random.default_rng(n)
         x = rng.uniform(-1, 1, size=(n, 2))
         # smooth noise-free targets, on which a fit puts sigma_n at its floor
         y = np.sin(2 * x[:, 0]) * np.cos(x[:, 1])
-        hyper = Hyperparams(1.2, np.array(length_scale), sigma_n)
+        hyper = Hyperparams(1.2, length_scale, sigma_n)
         value, grad = log_marginal_likelihood(x, y, hyper)
         ref_value, ref_grad = reference_lml(x, y, hyper)
         assert grad.shape == ref_grad.shape
         assert abs(value - ref_value) <= 1e-9 * abs(ref_value)
         assert np.linalg.norm(grad - ref_grad) <= 1e-6 * np.linalg.norm(ref_grad)
 
-    @pytest.mark.parametrize("length_scale", [0.7, (0.5, 1.3)])
+    @pytest.mark.parametrize("length_scale", [0.7])
     def test_gradient_at_noise_floor_holds_jitter_constant(self, length_scale):
         """At sigma_n = 1e-4 the jitter JITTER_REL (sigma_f^2 + sigma_n^2) is
         as large as sigma_n^2. The gradient is that of the likelihood with
@@ -270,7 +287,7 @@ class TestLogMarginalLikelihood:
         rng = np.random.default_rng(60)
         x = rng.uniform(-1, 1, size=(60, 2))
         y = np.sin(2 * x[:, 0]) * np.cos(x[:, 1])
-        hyper = Hyperparams(1.2, np.array(length_scale), 1e-4)
+        hyper = Hyperparams(1.2, length_scale, 1e-4)
         _, grad = log_marginal_likelihood(x, y, hyper)
         jitter = JITTER_REL * (hyper.sigma_f**2 + hyper.sigma_n**2)
         theta = hyper.log_vector()
@@ -291,12 +308,11 @@ class TestLogMarginalLikelihood:
     @given(
         n=st.integers(2, 60),
         dim=st.integers(1, 3),
-        per_dim=st.booleans(),
         log_sigma_n=st.floats(math.log(1e-4), 0.0),
         noisy=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_reference_on_random_windows(self, n, dim, per_dim, log_sigma_n, noisy, seed):
+    def test_matches_reference_on_random_windows(self, n, dim, log_sigma_n, noisy, seed):
         """Value and gradient against the direct-inversion reference, with
         the tolerances of test_matches_direct_inversion_reference. Where
         2 cond(Ky) eps exceeds 1e-9, the value may differ by that much:
@@ -310,7 +326,7 @@ class TestLogMarginalLikelihood:
             y += 0.1 * rng.standard_normal(n)
         hyper = Hyperparams(
             sigma_f=math.exp(rng.uniform(math.log(0.5), math.log(2.0))),
-            length_scale=np.exp(rng.uniform(math.log(0.3), math.log(3.0), size=dim if per_dim else 1)),
+            length_scale=np.exp(rng.uniform(math.log(0.3), math.log(3.0))),
             sigma_n=math.exp(log_sigma_n),
         )
         value, grad = log_marginal_likelihood(x, y, hyper)
@@ -411,23 +427,18 @@ class TestFit:
         model.fit()
         assert model.hyper.sigma_n >= 1e-4 * (1 - 1e-12)
 
-    def test_per_dimension_lengthscales(self):
+    def test_non_finite_trial_point_is_a_rejected_step(self, monkeypatch):
+        """A gradient of nan makes every trial point nan. Each is rejected
+        as a failed factorization is, so the start ends where it began
+        instead of raising Hyperparams' ValueError."""
         rng = np.random.default_rng(22)
-        x = rng.uniform(-1, 1, size=(40, 2))
-        y = np.sin(3 * x[:, 0]) + 0.1 * x[:, 1]  # fast along x0, slow along x1
-        incumbent = Hyperparams(0.5, np.array([2.0, 2.0]), 0.3)
-        v_inc, _ = log_marginal_likelihood(x, y, incumbent)
-        model = GpModel(
-            window=40, hyper=incumbent, starts=3, seed=0, sigma_n_floor=1e-4, per_dim_lengthscale=True
-        )
-        for xi, yi in zip(x, y):
-            model.observe(xi, yi)
-        model.fit()
-        v_fit, _ = log_marginal_likelihood(x, y, model.hyper)
-        assert model.hyper.length_scale.shape == (2,)
-        assert v_fit >= v_inc - 1e-12
-        assert model.hyper.sigma_n >= 1e-4 * (1 - 1e-12)
-        assert model.hyper.length_scale[0] < model.hyper.length_scale[1]
+        x, y = sample_gp_data(rng, Hyperparams(1.0, 0.7, 0.1), n=20)
+        lml = gp._Likelihood(x, y)
+        theta = Hyperparams(1.0, 0.7, 0.1).log_vector()
+        monkeypatch.setattr(gp._Likelihood, "gradient", lambda self, hyper, ev: np.full(3, np.nan))
+        value, end = gp._ascend(lml, theta, 1e-4)
+        assert end.tobytes() == theta.tobytes()
+        assert value == lml.evaluate(Hyperparams.from_log_vector(theta)).value
 
     def test_failed_refit_keeps_snapshot(self):
         rng = np.random.default_rng(23)
@@ -532,7 +543,5 @@ class TestGpConfig:
             GpConfig(window=0)
         with pytest.raises(ValueError):
             GpConfig(sample_period=0.0)
-        with pytest.raises(ValueError):
-            GpConfig(lengthscale_mode="diagonal")
         with pytest.raises(ValueError):
             GpConfig(sigma_n_floor=0.0)

@@ -1,6 +1,7 @@
 """scipy stays off the import path until the first GP fit, the process
 pool's modules until a fit with two or more starts, and the CLI starts the
-BLAS scipy loads with one thread unless the caller chose a count.
+BLAS scipy loads with one thread unless the caller chose a count. numpy's
+BLAS keeps the caller's thread count, and the trace does not depend on it.
 
 The behavioural tests run in fresh interpreters whose environment has no
 thread variable, since this test process has already loaded numpy and
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from adaptive_fbl.gp import usable_cpus
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "adaptive_fbl"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -30,6 +33,8 @@ POOL_LOADED = f"sorted(m for m in sys.modules if m.split('.')[0] in {POOL_ROOTS!
 # a short case e: GP fits happen, but on small windows from one start, or
 # from three with gp_starts = 2 (forked workers, given two usable CPUs)
 GP_CONFIG = "cases = e\nh = 0.02\ngp_window = 10\ngp_starts = {starts}\n"
+# the benchmark's wide_window workload: fits on up to 200 x 200 matrices
+WIDE_WINDOW = "cases = e\nh = 0.01\ngp_window = 200\n"
 
 
 def module_level_imports(tree: ast.Module, roots: tuple[str, ...] = ("scipy",)) -> list[int]:
@@ -160,3 +165,21 @@ def test_cli_sets_one_blas_thread_unless_preset(tmp_path, preset):
     if preset is None:
         # scipy's OpenBLAS started no worker thread when it loaded
         assert one_start[1] == 0
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="one CPU gives numpy's BLAS one thread either way")
+def test_trace_does_not_depend_on_numpys_blas_threads(tmp_path):
+    """numpy's BLAS loads with the package, before the CLI sets any thread
+    variable, so it starts one thread per CPU unless the shell says 1. The
+    wide_window trace is the same either way: the likelihood gradient's
+    sums over n x n matrices are numpy's own, not BLAS dot products, whose
+    rounding changes with the thread count."""
+    (tmp_path / "run.cfg").write_text(WIDE_WINDOW)
+    for out, env in (("unset", {}), ("one", dict.fromkeys(THREAD_VARS, "1"))):
+        code = (
+            "import json\n"
+            "from adaptive_fbl.cli import main\n"
+            f"print(json.dumps([main(['--config', 'run.cfg', '--out', {out!r}])]))\n"
+        )
+        assert run_child(code, tmp_path, **env) == [0]
+    assert (tmp_path / "unset" / "case_e.csv").read_bytes() == (tmp_path / "one" / "case_e.csv").read_bytes()

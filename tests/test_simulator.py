@@ -479,6 +479,19 @@ class TestLyapunovMonitor:
         vdot = -np.einsum("ij,jk,ik->i", tr.e, s_tilde, tr.e) + 2.0 * s_var * (bracket + tr.u_rob)
         assert np.max(np.abs(tr.vdot - vdot)) <= 1e-9
 
+    @pytest.mark.parametrize("cid", ["b", "c", "e"])
+    def test_composite_function_falls_through_stage_one(self, case_runs, cid):
+        """The paper's composite Lyapunov function V_c = e'Pe + (w - w*)'(w
+        - w*)/gamma_w strictly falls from each stage-1 row to the next in
+        the cases that learn the weights: the feedback law and concurrent
+        learning bring the tracking and weight errors down together."""
+        tr = case_trace(case_runs, cid)
+        rows = tr.stage == 1
+        w_err = tr.w[rows] - tr.w_star
+        v_c = tr.v[rows] + np.einsum("ij,ij->i", w_err, w_err) / LearnerConfig().gamma_w
+        rises = np.flatnonzero(np.diff(v_c) >= 0.0)
+        assert rises.size == 0, f"V_c rises at stage-1 rows {rises[:5]} of {v_c.size}"
+
     def test_negative_rate_when_gain_dominates(self, case_runs):
         """Wherever the robustness gain dominates the measured residual and
         the sliding variable is outside the boundary layer, the

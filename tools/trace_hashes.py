@@ -1,0 +1,60 @@
+"""sha256 of every file a CLI run writes, for byte-identity checks.
+
+    PYTHONPATH=src python3 tools/trace_hashes.py [--h 0.01]
+
+Runs the CLI in-process twice, into a temporary directory: cases a-e at
+step h with the default settings, then the benchmark's `wide_window`
+config (case e, h = 0.01, gp_window = 200). Prints one line per written
+file: the run, the file name and its sha256. report.txt is hashed without
+its `config` lines, so neither the output path nor a deleted config key
+counts. Two checkouts that print the same lines write the same traces and
+metrics.
+
+The CLI's BLAS thread rule applies unchanged: numpy keeps the thread
+count the shell gives it, so compare runs made under one setting.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from adaptive_fbl.cli import main as cli_main
+
+WIDE_WINDOW = "cases = e\nh = 0.01\ngp_window = 200\n"
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "report.txt":
+        data = b"".join(line for line in data.splitlines(keepends=True) if not line.startswith(b"config "))
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(name: str, config: str, out: Path) -> None:
+    cfg = out.with_suffix(".cfg")
+    cfg.write_text(config)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["--config", str(cfg), "--out", str(out)])
+    if code != 0:
+        sys.exit(f"{name}: the CLI exited {code}")
+    for path in sorted(out.glob("*.csv")) + [out / "report.txt"]:
+        print(f"{name} {path.name} {digest(path)}", flush=True)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--h", type=float, default=0.01, help="step (s) of the cases a-e run")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        run(f"h={args.h:g}", f"h = {args.h!r}\n", Path(tmp) / "cases")
+        run("wide_window", WIDE_WINDOW, Path(tmp) / "wide_window")
+
+
+if __name__ == "__main__":
+    main()
