@@ -174,7 +174,9 @@ class _Likelihood:
     so the pairwise squared distances of the inputs are taken once. An
     evaluation builds K from them in place (scale by -1/(2 l^2),
     exponentiate, multiply by sigma_f^2) and factors with LAPACK directly. The targets are checked for inf and nan here, once;
-    the factorization does not look at them.
+    the factorization does not look at them. A gradient writes each of its
+    n x n products into one buffer kept with the window, so it allocates
+    no n x n temporary (320 KB at n = 200).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -184,6 +186,7 @@ class _Likelihood:
         cols = x.T
         diff = cols[:, :, None] - cols[:, None, :]
         self.sqdist = (diff * diff).sum(axis=0)
+        self.buf = np.empty_like(self.sqdist)
 
     def evaluate(self, hyper: Hyperparams) -> _Evaluation:
         """Raises NotPositiveDefiniteError if K + (sigma_n^2 + jitter) I
@@ -231,9 +234,13 @@ class _Likelihood:
         u = b.T
         alpha, k = ev.alpha, ev.k
         tr_inv = float(np.trace(u))
-        grads = [float(alpha @ (k @ alpha)) - 2.0 * float((u * k).sum()) + hyper.sigma_f**2 * tr_inv]
-        kd = k * self.sqdist
-        grads.append(0.5 / hyper.length_scale**2 * (float(alpha @ (kd @ alpha)) - 2.0 * float((u * kd).sum())))
+        buf = self.buf
+        u_k = float(np.multiply(u, k, out=buf).sum())
+        grads = [float(alpha @ (k @ alpha)) - 2.0 * u_k + hyper.sigma_f**2 * tr_inv]
+        kd = np.multiply(k, self.sqdist, out=buf)
+        kd_alpha = float(alpha @ (kd @ alpha))
+        u_kd = float(np.multiply(u, kd, out=buf).sum())
+        grads.append(0.5 / hyper.length_scale**2 * (kd_alpha - 2.0 * u_kd))
         grads.append(hyper.sigma_n**2 * (float(alpha @ alpha) - tr_inv))
         return np.array(grads)
 

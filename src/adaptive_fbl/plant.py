@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import dot_source, symbols
+from .numerics import compiled, dot_source, function_source, symbols
 
 BENCHMARK_NAME = "benchmark_5717148"
 BENCHMARK_IDEAL_WEIGHTS = np.array([1.0, -1.0, 0.5])
@@ -129,11 +128,23 @@ def sine_reference(amplitude: float = 0.5, omega: float = 1.0, order: int = 2) -
     # d^k/dt^k of amplitude*sin(omega t) is scale_k * (sin, cos)[k % 2];
     # the quarter-phase case analysis keeps zeros exact
     scales = [amplitude * omega**k * (-1.0 if k % 4 in (2, 3) else 1.0) for k in range(order + 1)]
-    pairs = order // 2 + 1  # (sin, cos) pairs that cover k = 0..order
+    bind = compiled(f"<sine reference order={order}>", lambda: _sine_source(order))["bind"]
+    return ReferenceModel(trajectory=bind(omega, *scales))
 
-    def trajectory(t: float) -> tuple[list[float], float]:
-        phase = omega * t
-        chain = list(map(mul, scales, (math.sin(phase), math.cos(phase)) * pairs))
-        return chain[:order], chain[order]
 
-    return ReferenceModel(trajectory=trajectory)
+def _sine_source(order: int) -> str:
+    """Source of bind(omega, scale0..scale<order>), which returns the sine
+    reference's trajectory: one product scale_k * sin or scale_k * cos per
+    chain entry, written out."""
+    scales = [f"scale{k}" for k in range(order + 1)]
+    chain = [f"{scale} * {'c' if k % 2 else 's'}" for k, scale in enumerate(scales)]
+    trajectory = function_source(
+        "trajectory(t)",
+        [
+            "phase = omega * t",
+            "s, c = sin(phase), cos(phase)",
+            f"return [{', '.join(chain[:order])}], {chain[order]}",
+        ],
+    )
+    body = [*trajectory.splitlines(), "return trajectory"]
+    return "from math import cos, sin\n\n" + function_source(f"bind(omega, {', '.join(scales)})", body)

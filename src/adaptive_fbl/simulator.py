@@ -37,7 +37,9 @@ trace after the last step.
 
 Given a CSV path, a run streams its trace to it: the buffer is a shared
 anonymous mapping, and a forked writer process formats each finished
-block of rows while later rows are still being stepped (`_CsvWriter`).
+block of rows while later rows are still being stepped. After the last
+step, the run formats the blocks the writer has not reached, from the
+back, until the two meet (`_CsvWriter`).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import gc
 import math
 import mmap
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
@@ -245,37 +248,57 @@ def _block_cells(values: np.ndarray, fmt):
     return map(fmt, values.tolist())
 
 
-# The last message to a CSV writer; every other message is a row count.
-_END = -1
-
-
 class _CsvWriter:
-    """A forked process that writes a run's CSV while the run steps on.
+    """A forked process that writes a run's CSV while the run steps on;
+    after the last step, the run formats the blocks the writer has not
+    reached yet.
 
     The run's row buffer is a shared anonymous mapping, so this process
-    sees every row the run stores. Each time EMIT_BLOCK_ROWS more rows are
-    stored, the run sends the count of rows stored so far down a pipe, and
-    the writer formats the rows up to it into `<path>.<pid>.tmp` next to
-    the CSV. After the last row has passed the run's checks, the run sends
-    the row count and the end marker; the writer renames the file to
-    `path` and exits, and the run reaps it before returning.
+    sees every row the run stores. The CSV's rows fall into blocks of
+    EMIT_BLOCK_ROWS. Each time a block is stored, the run sends the count
+    of rows stored so far down a pipe, and the writer formats the blocks
+    from the front, in order, into `<path>.<pid>.tmp` next to the CSV.
 
-    On any failure the run kills the writer and deletes the temporary
-    file itself. It never waits for the writer to see the pipe close: a
-    fit worker forked later holds the pipe's write end too.
+    A front/back pair of block indices in a second shared mapping says who
+    formats which block: the writer has claimed the blocks below front,
+    the run those from back on. A claim moves one end by one under an
+    flock on the temporary file, which each process opens for itself
+    after the fork, so the kernel drops the lock of a process that dies
+    holding it.
+
+    After the last row has passed its check, the run sends the final row
+    count and claims blocks from the back, one at a time, while at least
+    two are unclaimed: the last unclaimed block is the one the writer
+    takes next. A writer that has kept up leaves only the final block,
+    and the run claims nothing. The run formats each block it claims into
+    a side file, `<path>.<pid>.tail.tmp`, and keeps only where each ends.
+    The writer exits 0 once the two ends have met. The run then copies
+    its blocks onto the end of the temporary file in forward order,
+    deletes the side file and renames the temporary file to `path`.
+
+    On any failure the run kills the writer and deletes both files
+    itself. It never waits for the writer to see the pipe close: a fit
+    worker forked later holds the pipe's write end too.
     """
 
-    def __init__(self, path, trace_of: Callable[[int, int], Trace]):
+    def __init__(self, path, rows: int, trace_of: Callable[[int, int], Trace]):
         self.path = os.fspath(path)
         self.tmp = f"{self.path}.{os.getpid()}.tmp"
+        self.tail = f"{self.path}.{os.getpid()}.tail.tmp"
+        self.rows = rows
+        self.trace_of = trace_of
         self.sent = 0
+        self.tail_ends: list[int] = []  # the side file's offset after each of the run's blocks
+        # [front, back]: the writer has claimed the blocks [0, front), the run [back, all)
+        self.ends = memoryview(mmap.mmap(-1, 16)).cast("q")
+        self.ends[1] = -(-rows // EMIT_BLOCK_ROWS)
         counts, self.pipe = os.pipe()
         try:
             out = os.open(self.tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
             try:
                 self.pid = os.fork()
                 if self.pid == 0:
-                    self._serve(out, counts, trace_of)
+                    self._serve(out, counts)
             finally:
                 os.close(out)
         except BaseException:
@@ -286,63 +309,109 @@ class _CsvWriter:
             os.close(counts)
 
     def send(self, count: int) -> None:
-        """Tell the writer that rows [0, count) are stored, or send _END."""
+        """Tell the writer that rows [0, count) are stored."""
         try:
-            os.write(self.pipe, count.to_bytes(8, "little", signed=True))
+            os.write(self.pipe, count.to_bytes(8, "little"))
         except BrokenPipeError:  # the writer has died: reap it, raise its failure
             self.close()
             raise
-        self.sent = max(self.sent, count)
+        self.sent = count
 
-    def finish(self, rows: int) -> None:
-        """Send the rows not sent yet and the end marker, and wait until the
-        writer has given the complete file its name."""
-        if rows > self.sent:
-            self.send(rows)
-        self.send(_END)
+    def share_tail(self) -> None:
+        """Once the last row has passed its check: send the rows not sent
+        yet, then format the blocks claimed from the back into the side
+        file, each as the writer would."""
+        if self.rows > self.sent:
+            self.send(self.rows)
+        lock = os.open(self.tmp, os.O_RDONLY)
+        try:
+            block = self._claim_back(lock)
+            if block is None:
+                return
+            with open(self.tail, "w", newline="") as fh:
+                while block is not None:
+                    _write_rows(fh, self._block(block))
+                    self.tail_ends.append(fh.tell())
+                    block = self._claim_back(lock)
+        finally:
+            os.close(lock)
+
+    def finish(self) -> None:
+        """Wait until the writer has exited 0, append the run's blocks to
+        its file in forward order, and give the complete file its name."""
         self.close()
+        if self.tail_ends:
+            ends = self.tail_ends
+            with open(self.tail, "rb") as src, open(self.tmp, "ab") as dst:
+                for start, end in reversed(list(zip([0, *ends], ends))):
+                    src.seek(start)
+                    dst.write(src.read(end - start))
+            os.unlink(self.tail)
+        os.replace(self.tmp, self.path)
 
     def close(self, kill: bool = False) -> None:
-        """Reap the writer, first sending it SIGKILL if kill; a no-op once
-        reaped. A writer that did not exit 0 leaves no temporary file, and
-        unless it was killed, its failure is raised as TraceWriteError."""
-        if self.pid is None:
-            return
-        pid, self.pid = self.pid, None
-        os.close(self.pipe)
-        if kill:
-            import signal
+        """Reap the writer, first sending it SIGKILL if kill; reaping is a
+        no-op once done. A killed or failed writer leaves no temporary or
+        side file, and unless it was killed, its failure is raised as
+        TraceWriteError. After finish, nothing is left to delete."""
+        code = 0
+        if self.pid is not None:
+            pid, self.pid = self.pid, None
+            os.close(self.pipe)
+            if kill:
+                import signal
 
-            os.kill(pid, signal.SIGKILL)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code != 0:
+                os.kill(pid, signal.SIGKILL)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if kill or code != 0:
             _remove(self.tmp)
-            if not kill:
-                raise TraceWriteError(f"the CSV writer for {self.path} exited with status {code}")
+            _remove(self.tail)
+        if code != 0 and not kill:
+            raise TraceWriteError(f"the CSV writer for {self.path} exited with status {code}")
 
-    def _serve(self, out: int, counts: int, trace_of) -> None:
-        """The writer process's whole life: format each block of rows the
-        run reports, then rename the file once the end marker comes. It
-        calls no BLAS routine, and it leaves through os._exit only, so it
-        never returns into the stack of the code that forked it."""
+    def _block(self, block: int) -> Trace:
+        start = block * EMIT_BLOCK_ROWS
+        return self.trace_of(start, min(start + EMIT_BLOCK_ROWS, self.rows))
+
+    def _claim_back(self, lock: int) -> int | None:
+        """The run's claim: the last unclaimed block, or None while fewer
+        than two are unclaimed."""
+        with _locked(lock):
+            front, back = self.ends
+            if back - front < 2:
+                return None
+            self.ends[1] = back - 1
+        return back - 1
+
+    def _serve(self, out: int, counts: int) -> None:
+        """The writer process's whole life: claim and format blocks from
+        the front as the run reports them stored, until the two ends
+        meet. It calls no BLAS routine, and it leaves through os._exit
+        only, so it never returns into the stack of the code that forked
+        it."""
         status = 1
         try:
             os.close(self.pipe)
             # no collection, so none of the run's inherited garbage is finalized here
             gc.disable()
+            lock = os.open(self.tmp, os.O_RDONLY)  # this process's own open file for the flock
             with open(out, "w", newline="") as fh, open(counts, "rb") as msgs:
-                _write_rows(fh, trace_of(0, 0), header=True)
-                done = 0
+                _write_rows(fh, self.trace_of(0, 0), header=True)
+                ready = 0  # the blocks whose rows are all stored
                 while True:
-                    msg = msgs.read(8)
-                    if len(msg) != 8:
-                        raise EOFError("the run's end marker never came")
-                    count = int.from_bytes(msg, "little", signed=True)
-                    if count == _END:
+                    with _locked(lock):
+                        block, back = self.ends
+                        if block < min(ready, back):
+                            self.ends[0] = block + 1
+                    if block == back:
                         break
-                    _write_rows(fh, trace_of(done, count))
-                    done = count
-            os.replace(self.tmp, self.path)
+                    if block == ready:
+                        msg = msgs.read(8)
+                        if len(msg) != 8:
+                            raise EOFError("the run's last row count never came")
+                        ready = -(-int.from_bytes(msg, "little") // EMIT_BLOCK_ROWS)
+                    else:
+                        _write_rows(fh, self._block(block))
             status = 0
         except BaseException:
             import traceback
@@ -350,6 +419,19 @@ class _CsvWriter:
             os.write(2, f"CSV writer for {self.path}:\n{traceback.format_exc()}".encode())
         finally:
             os._exit(status)
+
+
+@contextmanager
+def _locked(fd: int):
+    """Hold an exclusive flock on fd, an open file of the calling process's
+    own: the kernel drops the lock when that process dies."""
+    import fcntl
+
+    fcntl.flock(fd, fcntl.LOCK_EX)
+    try:
+        yield
+    finally:
+        fcntl.flock(fd, fcntl.LOCK_UN)
 
 
 def _remove(path: str) -> None:
@@ -609,12 +691,13 @@ def run_case(
     STATE_ESCAPE_LIMIT, else StateEscapeError (finite) or NonFiniteValueError
     (inf or nan); the final row's derivative must be finite too.
 
-    Given csv_path, the trace is written there as `emit_trace` writes it,
-    by a forked process while the run steps (`_CsvWriter`), and the file
-    has its name by the time run_case returns. A run that fails leaves
-    neither that file nor a temporary one; a writer that fails fails the
-    run with TraceWriteError. Without os.fork the CSV is written after
-    the last step.
+    Given csv_path, the trace is written there as `emit_trace` writes it:
+    by a forked process while the run steps and, for the blocks that
+    process has not reached after the last step, by the run itself
+    (`_CsvWriter`). The run gives the file its name before it returns. A
+    run that fails leaves neither that file nor a temporary or side one;
+    a writer that fails fails the run with TraceWriteError. Without
+    os.fork the CSV is written after the last step.
     """
     if cfg is None:
         cfg = ControllerConfig()
@@ -714,7 +797,7 @@ def run_case(
             gamma=learner.gamma_w, stack=stack, predict=predict, predict_mean=predict_mean,
         )
 
-    writer = _CsvWriter(csv_path, trace_of) if csv_path is not None and hasattr(os, "fork") else None
+    writer = _CsvWriter(csv_path, rows, trace_of) if csv_path is not None and hasattr(os, "fork") else None
     flush_at = EMIT_BLOCK_ROWS - 1 if writer is not None else -1  # the row that completes a block
     bound = None  # the flags the kernel is bound for
     try:
@@ -768,16 +851,20 @@ def run_case(
                 raise NonFiniteValueError(
                     f"inf or nan on the final row at t={t:g}: (x, w) = {x + w}, xdot = {list(xdot)}"
                 )
+        if writer is not None:
+            writer.share_tail()
+        # the whole trace and its metrics, while the writer formats its last blocks
         trace = trace_of(0, rows)
         metrics = compute_metrics(trace, ref_amplitude)
         if writer is not None:
-            writer.finish(rows)
+            writer.finish()
         elif csv_path is not None:
             emit_trace(trace, csv_path)
     finally:
         # The run owns its CSV writer and its fit workers: no process or
-        # thread outlives it. A failed run kills its writer (a no-op once
-        # finish has reaped it) and so reports its own error.
+        # thread outlives it. A failed run kills its writer and deletes its
+        # files (a no-op once finish has named the CSV), and so reports its
+        # own error.
         if writer is not None:
             writer.close(kill=True)
         if model is not None and model.workers is not None:

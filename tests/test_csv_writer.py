@@ -1,6 +1,8 @@
-"""A run's CSV streamed by its forked writer: the bytes `emit_trace` writes
-for the returned trace, a file only once the run has succeeded, and no
-process left behind, whether the run, the writer or a fit worker fails.
+"""A run's CSV streamed by its forked writer, with the last blocks
+formatted by the run when the writer is behind: the bytes `emit_trace`
+writes for the returned trace, a file only once the run has succeeded,
+and no process left behind, whether the run, the writer or a fit worker
+fails.
 """
 
 import math
@@ -87,6 +89,134 @@ def test_without_fork_the_csv_is_written_after_the_run(tmp_path, monkeypatch):
     assert streamed == whole
 
 
+@pytest.fixture
+def stalled_writer(monkeypatch):
+    """Stop the writer just before it formats one block (None: its
+    header), and let the run claim its share only once the writer has
+    stopped there; release the writer when the run has claimed. So the
+    split of the blocks is known. Returns the blocks the run formats, in
+    the order it formats them."""
+    parent = os.getpid()
+    stopped_r, stopped_w = os.pipe()
+    release_r, release_w = os.pipe()
+    run_blocks = []
+    write_rows = simulator._write_rows
+    share_tail, finish = simulator._CsvWriter.share_tail, simulator._CsvWriter.finish
+
+    def install(at):
+        def stalled(fh, trace, header=False):
+            block = None if header else round(trace.t[0] / H) // EMIT_BLOCK_ROWS
+            if os.getpid() != parent and block == at:
+                os.write(stopped_w, b"\0")
+                os.read(release_r, 1)
+            elif os.getpid() == parent and not header:
+                run_blocks.append(block)
+            return write_rows(fh, trace, header)
+
+        def after_the_stop(self):
+            os.read(stopped_r, 1)
+            return share_tail(self)
+
+        def release(self):
+            os.write(release_w, b"\0")
+            return finish(self)
+
+        monkeypatch.setattr(simulator, "_write_rows", stalled)
+        monkeypatch.setattr(simulator._CsvWriter, "share_tail", after_the_stop)
+        monkeypatch.setattr(simulator._CsvWriter, "finish", release)
+        return run_blocks
+
+    yield install
+    for fd in (stopped_r, stopped_w, release_r, release_w):
+        os.close(fd)
+
+
+@pytest.mark.parametrize(
+    "rows, stalled_at, run_blocks",
+    [
+        # the writer is one block from the end: the last block is its next
+        (3 * EMIT_BLOCK_ROWS + 1, 2, []),
+        (3 * EMIT_BLOCK_ROWS, 0, [2]),
+        # a final block of one row
+        (3 * EMIT_BLOCK_ROWS + 1, 1, [3]),
+        # the writer has formatted only the header: it keeps block 0
+        (3 * EMIT_BLOCK_ROWS + 1, None, [3, 2, 1]),
+        (2 * EMIT_BLOCK_ROWS + 300, None, [2, 1]),
+    ],
+    ids=["no-block", "one-full-block", "one-partial-block", "all-but-the-first", "partial-and-full"],
+)
+def test_shared_tail_equals_emit_trace(tmp_path, stalled_writer, rows, stalled_at, run_blocks):
+    formatted_by_run = stalled_writer(stalled_at)
+    streamed, whole, _ = streamed_and_whole(tmp_path, short_case_b(rows))
+    assert formatted_by_run == run_blocks
+    assert streamed == whole
+
+
+def test_racing_ends_equal_emit_trace(tmp_path, monkeypatch):
+    """Writer and run claim at the same time: the writer sleeps 2 ms
+    before each block, about as long as the run takes to format one.
+    Whatever the split, the run's blocks are the last ones, claimed from
+    the back, and no block is lost or written twice."""
+    parent, write_rows = os.getpid(), simulator._write_rows
+    run_blocks = []
+
+    def racing(fh, trace, header=False):
+        if os.getpid() != parent:
+            time.sleep(0.002)
+        elif not header:
+            run_blocks.append(round(trace.t[0] / H) // EMIT_BLOCK_ROWS)
+        return write_rows(fh, trace, header)
+
+    monkeypatch.setattr(simulator, "_write_rows", racing)
+    blocks = 12
+    for _ in range(3):
+        run_blocks.clear()
+        streamed, whole, _ = streamed_and_whole(tmp_path, short_case_b(blocks * EMIT_BLOCK_ROWS - 7))
+        assert streamed == whole
+        assert run_blocks == list(range(blocks - 1, blocks - 1 - len(run_blocks), -1))
+        for name in os.listdir(tmp_path):
+            os.unlink(tmp_path / name)
+
+
+def test_writer_killed_holding_the_claim_lock_fails_the_run(tmp_path, monkeypatch):
+    """The writer dies 0.5 s into its first hold of the claim lock, while
+    the run waits for that lock to claim its share: the kernel drops the
+    lock, and the run raises the writer's status instead of hanging."""
+    import fcntl
+
+    parent, flock = os.getpid(), fcntl.flock
+
+    def dying(fd, operation):
+        flock(fd, operation)
+        if os.getpid() != parent and operation == fcntl.LOCK_EX:
+            time.sleep(0.5)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(fcntl, "flock", dying)
+    with pytest.raises(TraceWriteError, match="exited with status -9"):
+        run_case(short_case_b(3 * EMIT_BLOCK_ROWS + 1), csv_path=tmp_path / "case_b.csv")
+    assert os.listdir(tmp_path) == []
+    assert_no_child_process()
+
+
+def test_run_failing_in_its_share_leaves_nothing(tmp_path, monkeypatch, stalled_writer):
+    """The run fails while it formats the first block of its share: no
+    CSV, temporary or side file is left, and the writer is reaped."""
+    stalled_writer(None)
+    parent, stalled = os.getpid(), simulator._write_rows
+
+    def failing(fh, trace, header=False):
+        if os.getpid() == parent and not header:
+            raise OSError("injected run failure")
+        return stalled(fh, trace, header)
+
+    monkeypatch.setattr(simulator, "_write_rows", failing)
+    with pytest.raises(OSError, match="injected run failure"):
+        run_case(short_case_b(3 * EMIT_BLOCK_ROWS + 1), csv_path=tmp_path / "case_b.csv")
+    assert os.listdir(tmp_path) == []
+    assert_no_child_process()
+
+
 def nan_from(after: float) -> Plant:
     """The benchmark plant with a disturbance that is nan from t = after on
     (it acts only on a scenario's disturbed stages)."""
@@ -156,20 +286,18 @@ def failing_writer(monkeypatch):
                 return write_rows(fh, trace, header)
 
             monkeypatch.setattr(simulator, "_write_rows", failing)
-        else:  # the rename, after the end marker
-            replace = os.replace
+        else:  # the writer's exit, once its file is complete
+            exit_ = os._exit
 
-            def failing(src, dst):
-                if os.getpid() != parent:
-                    os._exit(3)
-                return replace(src, dst)
+            def failing(status):
+                exit_(3 if os.getpid() != parent else status)
 
-            monkeypatch.setattr(os, "replace", failing)
+            monkeypatch.setattr(os, "_exit", failing)
 
     return install
 
 
-@pytest.mark.parametrize("where, status", [("first block", 1), ("rename", 3)])
+@pytest.mark.parametrize("where, status", [("first block", 1), ("exit", 3)])
 def test_failed_writer_fails_the_run_and_leaves_no_file(tmp_path, failing_writer, where, status):
     failing_writer(where)
     with pytest.raises(TraceWriteError, match=f"exited with status {status}"):

@@ -2,13 +2,15 @@
 
     PYTHONPATH=src python3 tools/trace_hashes.py [--h 0.01]
 
-Runs the CLI in-process twice, into a temporary directory: cases a-e at
-step h with the default settings, then the benchmark's `wide_window`
-config (case e, h = 0.01, gp_window = 200). Prints one line per written
-file: the run, the file name and its sha256. report.txt is hashed without
-its `config` lines, so neither the output path nor a deleted config key
-counts. Two checkouts that print the same lines write the same traces and
-metrics.
+Runs the CLI in-process three times, into a temporary directory: cases
+a-e at step h with the default settings, then the benchmark's `learn`
+config (case b, h = 0.001) and its `wide_window` config (case e, h =
+0.01, gp_window = 200). At the default h, `learn` is the one run whose
+CSV writer falls behind, so that the run formats the last blocks of its
+CSV itself. Prints one line per written file: the run, the file name and
+its sha256. report.txt is hashed without its `config` lines, so neither
+the output path nor a deleted config key counts. Two checkouts that
+print the same lines write the same traces and metrics.
 
 The CLI's BLAS thread rule applies unchanged: numpy keeps the thread
 count the shell gives it, so compare runs made under one setting.
@@ -26,6 +28,7 @@ from pathlib import Path
 
 from adaptive_fbl.cli import main as cli_main
 
+LEARN = "cases = b\nh = 0.001\n"
 WIDE_WINDOW = "cases = e\nh = 0.01\ngp_window = 200\n"
 
 
@@ -53,6 +56,7 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         run(f"h={args.h:g}", f"h = {args.h!r}\n", Path(tmp) / "cases")
+        run("learn", LEARN, Path(tmp) / "learn")
         run("wide_window", WIDE_WINDOW, Path(tmp) / "wide_window")
 
 
