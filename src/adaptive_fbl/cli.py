@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -327,11 +326,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="seed for the GP optimizer starts")
     parser.add_argument("--h", type=float, help="integration step in seconds")
     args = parser.parse_args(argv)
-    # One BLAS thread unless the caller chose otherwise. The GP's 100-200
-    # point factorizations gain nothing from threads, and scipy, whose BLAS
-    # they run on, is first imported at the first fit, after this line.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
 
     try:
         cfg = parse_config(args.config.read_text()) if args.config else RunConfig()

@@ -15,7 +15,8 @@ refit by multi-start gradient ascent on the log marginal likelihood. The
 noise scale is a learned parameter with a small floor; a noise-free kernel
 matrix is not invertible reliably enough for online use. The gradient
 sums its n x n products with numpy's own sum, not a BLAS dot product, so a
-fit does not depend on how many threads numpy's BLAS runs.
+fit does not depend on how many threads numpy's BLAS runs, and scipy's
+LAPACK, which factorizes, always runs one (_lapack).
 
 Predictions read a snapshot frozen at the last fit, so observations can
 stream in between refits without perturbing the controller mid-step.
@@ -30,8 +31,11 @@ whichever way its starts were dealt.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -51,20 +55,57 @@ LOG_BOUND = 6.0  # |log hyperparam| cap during optimization
 # this; on the plant's windows the shorter steps gained under 1e-3 nats
 STEP_TOL = 1e-3
 MAX_ITER = 100  # accepted steps per ascent start
+# the variables through which OpenBLAS, OpenMP and MKL builds read a thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @functools.cache
 def _lapack():
-    """(dpotrf, dpotri, dpotrs, dtrsv) from scipy, imported at the first call.
+    """(dpotrf, dpotri, dpotrs, dtrsv), scipy's compiled LAPACK and BLAS
+    wrappers, loaded at the first call.
 
-    Only the GP needs scipy, so a run without one never loads it (about
-    0.4 s and 27 MB), and a process can still limit the BLAS threads scipy
-    starts with until its first fit.
+    Only the GP needs them, so a run without one never loads them. The
+    call loads just the two extension modules that scipy.linalg.lapack and
+    scipy.linalg.blas export the routines from, scipy.linalg._flapack and
+    _fblas (about 5 ms and 4 MB), not the scipy.linalg package (85 modules,
+    about 0.3 s and 27 MB). A module already in sys.modules is used as it
+    is, so the routines are the very objects scipy.linalg exports.
+
+    scipy's OpenBLAS reads its thread count from the environment once, when
+    it loads, so the load runs with the thread variables at "1" and then
+    restores the caller's values. The GP's 100-200 point factorizations
+    gain nothing from threads, and threaded ones round differently, so a
+    fit does not depend on the caller's setting, unless the process had
+    imported scipy.linalg itself, with that setting, before its first fit.
     """
-    from scipy.linalg.blas import dtrsv
-    from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        flapack, fblas = (_scipy_linalg_extension(name) for name in ("_flapack", "_fblas"))
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+    return flapack.dpotrf, flapack.dpotri, flapack.dpotrs, fblas.dtrsv
 
-    return dpotrf, dpotri, dpotrs, dtrsv
+
+def _scipy_linalg_extension(name: str):
+    """The extension module scipy.linalg.<name>, loaded without importing
+    scipy or scipy.linalg; ImportError if it cannot be found."""
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    scipy = importlib.util.find_spec("scipy")  # locates the package, imports nothing
+    roots = scipy.submodule_search_locations if scipy else None
+    spec = importlib.machinery.PathFinder.find_spec(fullname, [os.path.join(root, "linalg") for root in roots or ()])
+    if spec is None:
+        raise ImportError(f"the GP needs scipy's {fullname}, which is not installed", name=fullname)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[fullname] = module
+    return module
 
 
 def usable_cpus() -> int:
@@ -80,10 +121,10 @@ def fit_workers(starts: int):
     None when that is no process or the platform cannot fork.
 
     The workers are processes, not threads, because scipy's LAPACK wrappers
-    (dpotrf, dpotri) hold the interpreter lock. They are forked, after scipy has loaded here, so each
-    inherits scipy instead of spending 0.3 s importing it. The pool forks
-    them at its first task, before it starts its own threads. The caller
-    shuts the pool down.
+    (dpotrf, dpotri) hold the interpreter lock. They are forked after the
+    wrappers have loaded here, so each inherits them, with their one BLAS
+    thread. The pool forks them at its first task, before it starts its
+    own threads. The caller shuts the pool down.
     """
     count = min(starts, usable_cpus()) - 1
     if count < 1:

@@ -1,7 +1,9 @@
-"""scipy stays off the import path until the first GP fit, the process
-pool's modules until a fit with two or more starts, and the CLI starts the
-BLAS scipy loads with one thread unless the caller chose a count. numpy's
-BLAS keeps the caller's thread count, and the trace does not depend on it.
+"""scipy stays off the import path until the first GP fit, and the fit
+loads only scipy's two compiled wrapper modules, scipy.linalg._flapack and
+_fblas, never the scipy.linalg package. The process pool's modules wait
+for a fit with two or more starts. scipy's LAPACK loads with one thread
+whatever the caller's thread variables say, and leaves them as they were;
+numpy's BLAS keeps the caller's count. No trace depends on either.
 
 The behavioural tests run in fresh interpreters whose environment has no
 thread variable, since this test process has already loaded numpy and
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from adaptive_fbl import gp
 from adaptive_fbl.gp import usable_cpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -25,6 +28,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TASKS = "/proc/self/task"  # one entry per OS thread on Linux
 
 SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 # the modules a fit's worker processes need; concurrent.futures.process
 # alone takes about 40 ms to import
 POOL_ROOTS = ("multiprocessing", "concurrent")
@@ -82,7 +86,7 @@ def run_child(code: str, tmp_path, **env_vars) -> list:
 
 def test_no_module_imports_scipy_at_module_level():
     """A top-of-file scipy import would put 0.4 s and 27 MB back on every
-    run's start and load scipy's BLAS before the CLI sets its threads."""
+    run's start and load scipy's BLAS with the caller's thread count."""
     found = package_imports(("scipy",))
     assert found == {}, f"module-level scipy imports (file: lines): {found}"
 
@@ -121,8 +125,37 @@ def test_cli_import_and_gp_free_case_leave_scipy_unloaded(tmp_path):
     assert result == [[False, []], [False, []]]
 
 
+def test_gp_fit_loads_only_the_two_wrapper_modules(tmp_path):
+    """The package scipy.linalg imports 85 modules, numpy.f2py's Fortran
+    parser among them, for about 0.3 s and 27 MB; the fit needs two."""
+    (tmp_path / "gp.cfg").write_text(GP_CONFIG.format(starts=0))
+    result = run_child(
+        "import json, sys\n"
+        "from adaptive_fbl.cli import main\n"
+        "code = main(['--config', 'gp.cfg'])\n"
+        f"print(json.dumps([code, {SCIPY_MODULES}, 'numpy.f2py' in sys.modules]))\n",
+        tmp_path,
+    )
+    assert result == [0, ["scipy.linalg._fblas", "scipy.linalg._flapack"], False]
+
+
+def test_gp_routines_are_the_ones_scipy_linalg_exports():
+    from scipy.linalg import blas, lapack
+
+    assert all(
+        ours is theirs
+        for ours, theirs in zip(gp._lapack(), (lapack.dpotrf, lapack.dpotri, lapack.dpotrs, blas.dtrsv))
+    )
+
+
+def test_missing_wrapper_module_raises_import_error_naming_it():
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module") as info:
+        gp._scipy_linalg_extension("_no_such_module")
+    assert info.value.name == "scipy.linalg._no_such_module"
+
+
 @pytest.mark.parametrize("preset", [None, "3"])
-def test_cli_sets_one_blas_thread_unless_preset(tmp_path, preset):
+def test_gp_fit_starts_no_blas_thread_and_keeps_the_callers_variables(tmp_path, preset):
     for starts in (0, 2):
         (tmp_path / f"gp{starts}.cfg").write_text(
             GP_CONFIG.format(starts=starts) + f"out = {tmp_path / f'out{starts}'}\n"
@@ -151,35 +184,40 @@ def test_cli_sets_one_blas_thread_unless_preset(tmp_path, preset):
         "before = threads()\n"
         "runs = [[main(['--config', f'gp{s}.cfg']), settled() - before] for s in (0, 2)]\n"
         "import multiprocessing, threading\n"
-        f"print(json.dumps([runs, {SCIPY_LOADED}, os.environ.get('OPENBLAS_NUM_THREADS'),"
+        f"print(json.dumps([runs, {SCIPY_LOADED}, [os.environ.get(v) for v in {THREAD_VARS!r}],"
         " len(multiprocessing.active_children()), threading.active_count()]))\n",
         tmp_path,
-        **({} if preset is None else {"OPENBLAS_NUM_THREADS": preset}),
+        **({} if preset is None else dict.fromkeys(THREAD_VARS, preset)),
     )
-    (one_start, three_starts), scipy_loaded, blas_threads, children, py_threads = result
-    assert [one_start[0], three_starts[0], scipy_loaded, blas_threads] == [0, 0, True, preset or "1"]
-    # The fit workers and the pool's threads end with the run. A fork can
-    # only lower the OS count: OpenBLAS stops its own threads before a fork
-    # and starts them again at its next threaded call.
-    assert [children, py_threads] == [0, 1] and three_starts[1] <= one_start[1]
-    if preset is None:
-        # scipy's OpenBLAS started no worker thread when it loaded
-        assert one_start[1] == 0
+    runs, scipy_loaded, thread_vars, children, py_threads = result
+    # Neither run leaves a thread beyond the baseline: scipy's OpenBLAS
+    # loaded with one thread, whatever the preset, and the fit workers and
+    # the pool's threads end with the run. A fork can only lower the OS
+    # count: OpenBLAS stops its own threads before a fork and starts them
+    # again at its next threaded call.
+    assert runs == [[0, 0], [0, 0]] and scipy_loaded
+    assert [children, py_threads] == [0, 1]
+    # the load set the variables to 1 only while it ran
+    assert thread_vars == [preset] * len(THREAD_VARS)
 
 
 @pytest.mark.skipif(usable_cpus() < 2, reason="one CPU gives numpy's BLAS one thread either way")
 def test_trace_does_not_depend_on_numpys_blas_threads(tmp_path):
-    """numpy's BLAS loads with the package, before the CLI sets any thread
-    variable, so it starts one thread per CPU unless the shell says 1. The
-    wide_window trace is the same either way: the likelihood gradient's
-    sums over n x n matrices are numpy's own, not BLAS dot products, whose
-    rounding changes with the thread count."""
+    """numpy's BLAS loads with the package and keeps the caller's thread
+    count: one thread per CPU unless the shell says otherwise. The
+    wide_window trace is the same whatever that count: the likelihood
+    gradient's sums over n x n matrices are numpy's own, not BLAS dot
+    products, whose rounding changes with the thread count, and scipy's
+    LAPACK, whose threaded factorizations would round differently too,
+    loads with one thread even when the caller presets two."""
     (tmp_path / "run.cfg").write_text(WIDE_WINDOW)
-    for out, env in (("unset", {}), ("one", dict.fromkeys(THREAD_VARS, "1"))):
+    runs = (("unset", {}), ("one", dict.fromkeys(THREAD_VARS, "1")), ("two", {"OPENBLAS_NUM_THREADS": "2"}))
+    for out, env in runs:
         code = (
             "import json\n"
             "from adaptive_fbl.cli import main\n"
             f"print(json.dumps([main(['--config', 'run.cfg', '--out', {out!r}])]))\n"
         )
         assert run_child(code, tmp_path, **env) == [0]
-    assert (tmp_path / "unset" / "case_e.csv").read_bytes() == (tmp_path / "one" / "case_e.csv").read_bytes()
+    one = (tmp_path / "one" / "case_e.csv").read_bytes()
+    assert [(tmp_path / out / "case_e.csv").read_bytes() == one for out in ("unset", "two")] == [True, True]
