@@ -372,36 +372,65 @@ class TestFit:
         v2, _ = log_marginal_likelihood(x, y, model.hyper)
         assert abs(v2 - v1) <= 1e-9
 
+    @staticmethod
+    def fit_counting(monkeypatch, x, y, starts, seed):
+        """(likelihood evaluations, log likelihood of the winner) of one fit
+        on the window (x, y)."""
+        count = 0
+        evaluate = gp._Likelihood.evaluate
+
+        def counted(self, hyper):
+            nonlocal count
+            count += 1
+            return evaluate(self, hyper)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gp._Likelihood, "evaluate", counted)
+            model = GpModel(window=len(y), starts=starts, seed=seed, sigma_n_floor=1e-4)
+            for xi, yi in zip(x, y):
+                model.observe(xi, yi)
+            model.fit()
+        return count, log_marginal_likelihood(x, y, model.hyper)[0]
+
     def test_step_tolerance_saves_evaluations_not_likelihood(self, monkeypatch):
         """On a smooth noise-free window, the kind the plant's disturbance
-        gives, stopping at STEP_TOL makes at most half the likelihood
-        evaluations of halving to 1e-10 and ends at the same optimum."""
+        gives, the line-search floor relative to the ascent's smallest
+        accepted step makes at most 3/4 of the likelihood evaluations of
+        the search that halves down to STEP_TOL alone (58 against 79), and
+        ends at the same optimum."""
         rng = np.random.default_rng(5)
         x = rng.uniform(-0.6, 0.6, size=(100, 2))
         y = np.cos(x[:, 0]) + x[:, 1]
 
-        def fit_counting():
-            count = 0
-            evaluate = gp._Likelihood.evaluate
-
-            def counted(self, hyper):
-                nonlocal count
-                count += 1
-                return evaluate(self, hyper)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(gp._Likelihood, "evaluate", counted)
-                model = GpModel(window=100, starts=3, seed=0, sigma_n_floor=1e-4)
-                for xi, yi in zip(x, y):
-                    model.observe(xi, yi)
-                model.fit()
-            return count, log_marginal_likelihood(x, y, model.hyper)[0]
-
-        count, value = fit_counting()
-        monkeypatch.setattr(gp, "STEP_TOL", 1e-10)
-        count_ref, value_ref = fit_counting()
-        assert 2 * count <= count_ref
+        count, value = self.fit_counting(monkeypatch, x, y, starts=3, seed=0)
+        monkeypatch.setattr(gp, "STEP_REL", 0.0)
+        count_ref, value_ref = self.fit_counting(monkeypatch, x, y, starts=3, seed=0)
+        assert 4 * count <= 3 * count_ref
         assert abs(value - value_ref) <= 1e-8 * abs(value_ref)
+
+    def test_relative_floor_lets_a_crawling_ascent_finish(self, monkeypatch):
+        """Case d's target (the disturbance plus the initial weight
+        estimate's error) on 60 points of its reference circle: an
+        ill-conditioned window whose winning ascent crawls, accepting steps
+        below 1/8 of its first ones. Its line searches must reach those
+        steps: a floor at 1/8 of the step each search starts from ends
+        0.45 nats short here, as does a fixed floor of 1/16. The floor
+        relative to the ascent's smallest accepted step keeps the optimum
+        of the search bounded by STEP_TOL alone within 1e-3 nats."""
+        t = 10.0 + 0.1 * np.arange(60)
+        x = 0.5 * np.column_stack([np.sin(t), np.cos(t)])
+        phi = np.column_stack([np.sin(x[:, 0]), np.abs(x[:, 1]) * x[:, 0], np.exp(x[:, 0] * x[:, 1])])
+        y = np.cos(x[:, 0]) + x[:, 1] - phi @ (np.array([0.5, -1.3, 0.75]) - W_STAR)
+
+        _, value = self.fit_counting(monkeypatch, x, y, starts=2, seed=1)
+        with monkeypatch.context() as patch:
+            # a fixed floor: trial steps of 1/8 and up only, 1/4 of the first one
+            patch.setattr(gp, "STEP_TOL", 1.0 / 16)
+            _, value_fixed = self.fit_counting(monkeypatch, x, y, starts=2, seed=1)
+        monkeypatch.setattr(gp, "STEP_REL", 0.0)
+        _, value_ref = self.fit_counting(monkeypatch, x, y, starts=2, seed=1)
+        assert value_fixed < value_ref - 1e-3
+        assert abs(value - value_ref) <= 1e-3
 
     def test_never_below_incumbent(self):
         rng = np.random.default_rng(19)
