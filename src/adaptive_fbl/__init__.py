@@ -1,12 +1,7 @@
 """Adaptive feedback linearization with concurrent weight learning and
 online Gaussian-process disturbance compensation."""
 
-from .concurrent_learning import (
-    HistoryStack,
-    LearnerConfig,
-    LearnerState,
-    weight_update_derivative,
-)
+from .concurrent_learning import HistoryStack, LearnerConfig, weight_update_derivative
 from .controller import (
     ControlBreakdown,
     ControllerConfig,

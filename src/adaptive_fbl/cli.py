@@ -24,7 +24,7 @@ from .concurrent_learning import LearnerConfig
 from .controller import ControllerConfig, compute_P
 from .errors import ConfigError, ConfigParseError, NotHurwitzError, OutOfRangeError, UnknownKeyError
 from .gp import GpConfig
-from .plant import benchmark_plant, sine_reference
+from .plant import REFERENCE_AMPLITUDE, REFERENCE_OMEGA, benchmark_plant, sine_reference
 
 # emit_trace, the whole-trace CSV writer, keeps its name here for callers
 # that write a Trace they hold; main passes each case's CSV path to
@@ -43,28 +43,26 @@ from .simulator import (  # noqa: F401
 class RunConfig:
     """Fully resolved run settings (defaults already filled in). Each
     field is named after its config key, so the report's config echo
-    parses back to the same settings."""
+    parses back to the same settings. Each default is read from the
+    library setting the field fills, so none is stated twice."""
 
     cases: tuple[str, ...] = CASE_IDS
     out: str = "runs"
     seed: int = 0
-    h: float = 1e-3
-    gains: list[float] = field(default_factory=lambda: [20.0, 20.0])
-    m: float = 1.0
-    rho: float = 0.01
-    Q: list[list[float]] | None = None
-    R: float = 0.01
-    rob_enabled: bool = True
-    gamma_w: float = 3.0
-    stack_capacity: int = 35
-    record_period: float = 0.05
-    amplitude: float = 0.5
-    omega: float = 1.0
-    gp_window: int = 100
-    gp_sample_period: float = 0.1
-    gp_refit_period: float = 0.5
-    gp_starts: int = 5
-    gp_sigma_n_floor: float = 1e-4
+    h: float = Scenario.h
+    gains: list[float] = field(default_factory=lambda: list(ControllerConfig.gains))
+    m: float = ControllerConfig.m
+    rho: float = ControllerConfig.rho
+    Q: list[list[float]] | None = ControllerConfig.q
+    R: float = ControllerConfig.r
+    rob_enabled: bool = ControllerConfig.rob_enabled
+    gamma_w: float = LearnerConfig.gamma_w
+    stack_capacity: int = LearnerConfig.stack_capacity
+    record_period: float = LearnerConfig.record_period
+    amplitude: float = REFERENCE_AMPLITUDE
+    omega: float = REFERENCE_OMEGA
+    gp_window: int = GpConfig.window
+    gp_starts: int = GpConfig.starts
 
     def scenario(self, case_id: str) -> Scenario:
         try:
@@ -106,13 +104,7 @@ class RunConfig:
         )
 
     def gp_config(self) -> GpConfig:
-        return GpConfig(
-            window=self.gp_window,
-            sample_period=self.gp_sample_period,
-            refit_period=self.gp_refit_period,
-            starts=self.gp_starts,
-            sigma_n_floor=self.gp_sigma_n_floor,
-        )
+        return GpConfig(window=self.gp_window, starts=self.gp_starts)
 
     def resolved_items(self) -> list[tuple[str, str]]:
         items = []
@@ -226,10 +218,7 @@ _KEYS = {
     "amplitude": _positive("amplitude"),
     "omega": _positive("omega"),
     "gp_window": _positive_int("gp_window"),
-    "gp_sample_period": _positive("gp_sample_period"),
-    "gp_refit_period": _positive("gp_refit_period"),
     "gp_starts": _positive_int("gp_starts", minimum=0),
-    "gp_sigma_n_floor": _positive("gp_sigma_n_floor"),
 }
 
 
@@ -361,7 +350,6 @@ def main(argv=None) -> int:
                 seed=cfg.seed,
                 plant=plant,
                 reference=sine_reference(cfg.amplitude, cfg.omega),
-                ref_amplitude=cfg.amplitude,
                 csv_path=csv_path,
             )
         except Exception as exc:  # noqa: BLE001 - report any failed run and stop

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import compiled, dot_source, function_source, symbols, tuple_source
+from .numerics import compiled, dot_source, function_source, require_finite, symbols, tuple_source
 
 
 class Record(NamedTuple):
@@ -45,6 +45,7 @@ class LearnerConfig:
     record_period: float = 0.05
 
     def __post_init__(self):
+        require_finite(self, "gamma_w", "stack_capacity", "record_period")
         if self.gamma_w <= 0:
             raise ValueError("gamma_w must be positive")
         if self.stack_capacity < 1:
@@ -178,14 +179,6 @@ class HistoryStack:
         return True
 
 
-@dataclass
-class LearnerState:
-    """The weight estimator's gain and record stack."""
-
-    gamma_w: float
-    stack: HistoryStack
-
-
 def update_source(n: int, m: int, filled: bool) -> tuple[list[str], list[str]]:
     """The update law as Python source, the one definition of it: (lines,
     names of the m weight rates). The lines read the weights w1..wm, the
@@ -229,16 +222,16 @@ def _update_function(n: int, m: int, filled: bool) -> str:
 
 
 def weight_update_derivative(
-    state: LearnerState,
+    gamma: float,
+    stack: HistoryStack,
     w: Sequence[float],
     phi_now: Sequence[float],
     e: Sequence[float],
     p: Sequence[Sequence[float]],
 ) -> list[float]:
-    """One evaluation of `update_source`'s update law on the stack as it is
-    now; p is P as rows."""
-    stack = state.stack
+    """One evaluation of `update_source`'s update law with gain gamma on the
+    stack as it is now; p is P as rows."""
     n, m, filled = len(e), len(w), len(stack) > 0
     name = f"<weight update n={n} m={m}{' filled' if filled else ''}>"
     rate = compiled(name, lambda: _update_function(n, m, filled))["rate"]
-    return rate(state.gamma_w, p[-1], stack.gram, stack.phi_rhs, w, phi_now, e)
+    return rate(gamma, p[-1], stack.gram, stack.phi_rhs, w, phi_now, e)

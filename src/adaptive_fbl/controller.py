@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import numerics
-from .numerics import compiled, dot_source, function_source, symbols, tuple_source
+from .numerics import compiled, dot_source, function_source, require_finite, symbols, tuple_source
 from .plant import integrator_chain
 
 
@@ -55,6 +55,7 @@ class ControllerConfig:
             n = gains.size
             if self.q.shape != (n, n):
                 raise ValueError(f"Q must be {n}x{n} to match the gains, got shape {self.q.shape}")
+        require_finite(self, "gains", "m", "rho", "q", "r")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.m < 0 or self.r < 0:

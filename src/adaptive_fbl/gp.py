@@ -12,11 +12,14 @@ mean of this quantity in the control law cancels both at once.
 
 The three hyperparameters (signal scale, length scale, noise scale) are
 refit by multi-start gradient ascent on the log marginal likelihood. The
-noise scale is a learned parameter with a small floor; a noise-free kernel
-matrix is not invertible reliably enough for online use. The gradient
-sums its n x n products with numpy's own sum, not a BLAS dot product, so a
-fit does not depend on how many threads numpy's BLAS runs, and scipy's
-LAPACK, which factorizes, always runs one (_lapack).
+noise scale is a learned parameter with a small floor (SIGMA_N_FLOOR); a
+noise-free kernel matrix is not invertible reliably enough for online use.
+A run samples the window every SAMPLE_PERIOD seconds of its disturbed
+stages and refits every REFIT_PERIOD seconds of its compensated one.
+
+The gradient sums its n x n products with numpy's own sum, not a BLAS dot
+product, so a fit does not depend on how many threads numpy's BLAS runs,
+and scipy's LAPACK, which factorizes, always runs one (_lapack).
 
 Predictions read a snapshot frozen at the last fit, so observations can
 stream in between refits without perturbing the controller mid-step.
@@ -47,10 +50,13 @@ from .errors import (
     NotPositiveDefiniteError,
     UnfittedModelError,
 )
-from .numerics import dot
+from .numerics import dot, require_finite
 
 JITTER_REL = 1e-8
 LOG_BOUND = 6.0  # |log hyperparam| cap during optimization
+SIGMA_N_FLOOR = 1e-4  # the noise scale's lower bound during optimization
+SAMPLE_PERIOD = 0.1  # seconds between a run's training samples
+REFIT_PERIOD = 0.5  # seconds between a run's refits
 # a line search ends when its trial step in log-hyperparameter space falls to
 # STEP_TOL, or to STEP_REL times the smallest step its ascent has accepted,
 # whichever is larger: on the plant's windows steps below STEP_TOL gained
@@ -183,23 +189,20 @@ class Hyperparams:
 
 @dataclass
 class GpConfig:
-    """Scheduling and optimizer settings for the online model."""
+    """The online model's settings: the sliding window's size and the
+    number of random optimizer starts a fit adds to the incumbent. The
+    sampling and refit periods and the noise floor are the module's
+    constants."""
 
     window: int = 100
-    sample_period: float = 0.1
-    refit_period: float = 0.5
     starts: int = 5
-    sigma_n_floor: float = 1e-4
 
     def __post_init__(self):
+        require_finite(self, "window", "starts")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.sample_period <= 0 or self.refit_period <= 0:
-            raise ValueError("sample and refit periods must be positive")
         if self.starts < 0:
             raise ValueError("starts must be >= 0")
-        if self.sigma_n_floor <= 0:
-            raise ValueError("sigma_n_floor must be positive")
 
 
 class _Evaluation(NamedTuple):
@@ -290,13 +293,13 @@ class _Likelihood:
         return np.array(grads)
 
 
-def _clamp(theta: np.ndarray, sigma_n_floor: float) -> np.ndarray:
+def _clamp(theta: np.ndarray) -> np.ndarray:
     lo = np.full(theta.shape, -LOG_BOUND)
-    lo[-1] = math.log(sigma_n_floor)  # the noise floor, not the generic bound
+    lo[-1] = math.log(SIGMA_N_FLOOR)  # the noise floor, not the generic bound
     return np.clip(theta, lo, LOG_BOUND)
 
 
-def _ascend(lml: _Likelihood, theta: np.ndarray, sigma_n_floor: float) -> tuple[float, np.ndarray] | None:
+def _ascend(lml: _Likelihood, theta: np.ndarray) -> tuple[float, np.ndarray] | None:
     """Backtracking gradient ascent from one start; None if it never
     produced a positive-definite kernel matrix.
 
@@ -331,7 +334,7 @@ def _ascend(lml: _Likelihood, theta: np.ndarray, sigma_n_floor: float) -> tuple[
     along such a direction are rejected until the step reaches the
     floor, so a start can stop with its gradient far from zero.
     """
-    theta = _clamp(theta.copy(), sigma_n_floor)
+    theta = _clamp(theta.copy())
     try:
         hyper = Hyperparams.from_log_vector(theta)
         ev = lml.evaluate(hyper)
@@ -348,7 +351,7 @@ def _ascend(lml: _Likelihood, theta: np.ndarray, sigma_n_floor: float) -> tuple[
         moved = False
         floor = max(STEP_TOL, STEP_REL * smallest)
         while step > floor:
-            cand = _clamp(theta + step * direction, sigma_n_floor)
+            cand = _clamp(theta + step * direction)
             try:
                 hyper_cand = Hyperparams.from_log_vector(cand)
                 ev = lml.evaluate(hyper_cand)
@@ -368,13 +371,11 @@ def _ascend(lml: _Likelihood, theta: np.ndarray, sigma_n_floor: float) -> tuple[
     return value, theta
 
 
-def _ascend_starts(
-    x: np.ndarray, y: np.ndarray, starts: list[np.ndarray], sigma_n_floor: float
-) -> list[tuple[float, np.ndarray] | None]:
+def _ascend_starts(x: np.ndarray, y: np.ndarray, starts: list[np.ndarray]) -> list[tuple[float, np.ndarray] | None]:
     """_ascend from each start on the window (x, y): the task a fit hands a
     worker process."""
     lml = _Likelihood(x, y)
-    return [_ascend(lml, theta, sigma_n_floor) for theta in starts]
+    return [_ascend(lml, theta) for theta in starts]
 
 
 def log_marginal_likelihood(
@@ -402,20 +403,19 @@ def training_target(
 
 
 class GpModel:
-    """Exact GP over a sliding window with snapshot-based prediction."""
+    """Exact GP over a sliding window with snapshot-based prediction. window
+    and starts are GpConfig's settings, with its defaults."""
 
     def __init__(
         self,
-        window: int = 100,
+        window: int = GpConfig.window,
         hyper: Hyperparams | None = None,
-        starts: int = 5,
-        sigma_n_floor: float = 1e-4,
+        starts: int = GpConfig.starts,
         seed: int = 0,
     ):
         self.window = window
         self.hyper = hyper if hyper is not None else Hyperparams()
         self.starts = starts
-        self.sigma_n_floor = sigma_n_floor
         self.seed = seed
         self._inputs: list[np.ndarray] = []
         self._targets: list[float] = []
@@ -430,12 +430,7 @@ class GpModel:
 
     @classmethod
     def from_config(cls, cfg: GpConfig, seed: int = 0) -> "GpModel":
-        return cls(
-            window=cfg.window,
-            starts=cfg.starts,
-            sigma_n_floor=cfg.sigma_n_floor,
-            seed=seed,
-        )
+        return cls(window=cfg.window, starts=cfg.starts, seed=seed)
 
     def __len__(self) -> int:
         return len(self._targets)
@@ -515,11 +510,10 @@ class GpModel:
         lml = _Likelihood(x, np.array(self._targets))
 
         starts = self._start_points(lml)
-        floor = self.sigma_n_floor
         p = 1 if self.workers is None else min(len(starts), usable_cpus())
-        chunks = [self.workers.submit(_ascend_starts, x, lml.y, starts[k::p], floor) for k in range(1, p)]
+        chunks = [self.workers.submit(_ascend_starts, x, lml.y, starts[k::p]) for k in range(1, p)]
         results = [None] * len(starts)
-        results[::p] = [_ascend(lml, theta, floor) for theta in starts[::p]]
+        results[::p] = [_ascend(lml, theta) for theta in starts[::p]]
         for k, chunk in enumerate(chunks, 1):
             results[k::p] = chunk.result()
 

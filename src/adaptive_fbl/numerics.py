@@ -22,6 +22,16 @@ from .errors import NotHurwitzError
 SYMMETRY_RTOL = 1e-9
 
 
+def require_finite(config, *names: str) -> None:
+    """Raise ValueError naming the first of config's fields `names` that
+    is, or holds, inf or nan: a comparison such as `nan <= 0` is False, so
+    range checks alone let them through."""
+    for name in names:
+        value = getattr(config, name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _require_square_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -27,6 +27,9 @@ from .numerics import compiled, dot_source, function_source, symbols
 
 BENCHMARK_NAME = "benchmark_5717148"
 BENCHMARK_IDEAL_WEIGHTS = np.array([1.0, -1.0, 0.5])
+# the benchmark reference's amplitude and angular frequency (rad/s)
+REFERENCE_AMPLITUDE = 0.5
+REFERENCE_OMEGA = 1.0
 
 
 def integrator_chain(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -57,13 +60,20 @@ class Plant:
 
 @dataclass(frozen=True)
 class ReferenceModel:
-    """Reference trajectory t -> (x_ref, xdot_n_ref).
+    """Reference trajectory t -> (x_ref, xdot_n_ref), and its amplitude.
 
     x_ref has one entry per plant state (check_reference_shape), and
     component i+1 of x_ref must be the time derivative of component i.
+    amplitude is the size of x_ref's first component, the scale by which
+    the run's metrics state the tracking error as a percentage.
     """
 
     trajectory: Callable[[float], tuple[Sequence[float], float]]
+    amplitude: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude!r}")
 
 
 def eval_regressor(plant: Plant, x: Sequence[float]) -> Sequence[float]:
@@ -120,16 +130,19 @@ def benchmark_plant() -> Plant:
     )
 
 
-def sine_reference(amplitude: float = 0.5, omega: float = 1.0, order: int = 2) -> ReferenceModel:
-    """Sinusoidal reference amplitude*sin(omega*t) and its derivative chain."""
-    if amplitude <= 0 or omega <= 0:
-        raise ValueError("amplitude and omega must be positive")
+def sine_reference(
+    amplitude: float = REFERENCE_AMPLITUDE, omega: float = REFERENCE_OMEGA, order: int = 2
+) -> ReferenceModel:
+    """Sinusoidal reference amplitude*sin(omega*t) and its derivative chain.
+    ReferenceModel checks the amplitude."""
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
 
     # d^k/dt^k of amplitude*sin(omega t) is scale_k * (sin, cos)[k % 2];
     # the quarter-phase case analysis keeps zeros exact
     scales = [amplitude * omega**k * (-1.0 if k % 4 in (2, 3) else 1.0) for k in range(order + 1)]
     bind = compiled(f"<sine reference order={order}>", lambda: _sine_source(order))["bind"]
-    return ReferenceModel(trajectory=bind(omega, *scales))
+    return ReferenceModel(trajectory=bind(omega, *scales), amplitude=amplitude)
 
 
 def _sine_source(order: int) -> str:

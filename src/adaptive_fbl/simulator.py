@@ -68,8 +68,8 @@ from .controller import (
     weighting_matrix,
 )
 from .errors import NonFiniteValueError, StateEscapeError, TraceWriteError
-from .gp import GpConfig, GpModel, fit_workers, training_target
-from .numerics import compiled, dot, dot_source, function_source, quad_form, symbols, tuple_source
+from .gp import REFIT_PERIOD, SAMPLE_PERIOD, GpConfig, GpModel, fit_workers, training_target
+from .numerics import compiled, dot, dot_source, function_source, quad_form, require_finite, symbols, tuple_source
 from .numerics import rk4_step  # noqa: F401
 from .plant import (
     Plant,
@@ -122,6 +122,7 @@ class Scenario:
     w0: np.ndarray | None = None
 
     def __post_init__(self):
+        require_finite(self, "h", "duration", "t1", "t2")
         if self.h <= 0 or self.duration <= 0:
             raise ValueError("h and duration must be positive")
         if not (0 < self.t1 <= self.t2):
@@ -470,17 +471,18 @@ def stage_masks(trace: Trace) -> list[np.ndarray]:
     ]
 
 
-def compute_metrics(trace: Trace, ref_amplitude: float) -> Metrics:
-    """Per-stage and overall average tracking error, plus the final weight error.
+def compute_metrics(trace: Trace) -> Metrics:
+    """Per-stage and overall average tracking error, as a percentage of the
+    trace's reference amplitude, plus the final weight error.
 
     Each stage drops its first TRANSIENT_EXCLUDE (8 s), so a stage shorter
     than that comes out as nan, the same as a stage the run never reached.
     """
     masks = stage_masks(trace)
     e1 = trace.e[:, 0]
-    stage_vals = tuple(average_error_pct(e1[m], ref_amplitude) for m in masks)
+    stage_vals = tuple(average_error_pct(e1[m], trace.ref_amplitude) for m in masks)
     union = masks[0] | masks[1] | masks[2]
-    overall = average_error_pct(e1[union], ref_amplitude)
+    overall = average_error_pct(e1[union], trace.ref_amplitude)
     final_w = float(np.max(np.abs(trace.w[-1] - trace.w_star)))
     return Metrics(trace.case_id, stage_vals, overall, final_w)
 
@@ -675,14 +677,14 @@ def run_case(
     seed: int = 0,
     plant: Plant | None = None,
     reference: ReferenceModel | None = None,
-    ref_amplitude: float = 0.5,
     oracle_gp: bool = False,
     csv_path=None,
 ) -> tuple[Trace, Metrics]:
     """Simulate one case and return its trace and metrics.
 
     Deterministic for a fixed (scenario, configs, seed): the seed only
-    feeds the GP hyperparameter optimizer starts. oracle_gp replaces the
+    feeds the GP hyperparameter optimizer starts. The GP samples and refits
+    on gp.SAMPLE_PERIOD and gp.REFIT_PERIOD. oracle_gp replaces the
     GP compensation with the exact residual (testing hook). The measured
     state derivative used for records, GP targets, and the monitor is the
     exact plant evaluation.
@@ -709,7 +711,7 @@ def run_case(
     if plant is None:
         plant = benchmark_plant()
     if reference is None:
-        reference = sine_reference(amplitude=ref_amplitude)
+        reference = sine_reference()
 
     n = plant.order
     if cfg.order != n:
@@ -728,8 +730,8 @@ def run_case(
     n_steps = int(round(scenario.duration / h))
     i1, i2 = stage_rows(scenario.t1, scenario.t2, h)
     rec_every = max(1, int(round(learner.record_period / h)))
-    samp_every = max(1, int(round(gp_cfg.sample_period / h)))
-    refit_every = max(1, int(round(gp_cfg.refit_period / h)))
+    samp_every = max(1, int(round(SAMPLE_PERIOD / h)))
+    refit_every = max(1, int(round(REFIT_PERIOD / h)))
 
     stack = HistoryStack(learner.stack_capacity)
     model = GpModel.from_config(gp_cfg, seed=seed) if scenario.gp_enabled and not oracle_gp else None
@@ -762,7 +764,7 @@ def run_case(
             t1=scenario.t1,
             t2=scenario.t2,
             w_star=w_star.copy(),
-            ref_amplitude=ref_amplitude,
+            ref_amplitude=reference.amplitude,
             t=t_col[:, 0],
             x=x_col,
             x_ref=x_ref_col,
@@ -855,7 +857,7 @@ def run_case(
             writer.share_tail()
         # the whole trace and its metrics, while the writer formats its last blocks
         trace = trace_of(0, rows)
-        metrics = compute_metrics(trace, ref_amplitude)
+        metrics = compute_metrics(trace)
         if writer is not None:
             writer.finish()
         elif csv_path is not None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from adaptive_fbl.cli import emit_trace
-from adaptive_fbl.concurrent_learning import HistoryStack, LearnerState, weight_update_derivative
+from adaptive_fbl.concurrent_learning import HistoryStack, weight_update_derivative
 from adaptive_fbl.controller import ControllerConfig, compute_P
 from adaptive_fbl.gp import JITTER_REL, GpModel, Hyperparams, log_marginal_likelihood
 from adaptive_fbl.numerics import rk4_step, solve_lyapunov
@@ -240,13 +240,12 @@ def test_c11_exponential_stack_convergence():
     lam_min = float(np.min(np.linalg.eigvalsh(stack.phi_matrix @ stack.phi_matrix.T)))
     assert lam_min > 0.0
 
-    state = LearnerState(gamma, stack)
     w = np.array([0.5, -1.3, 0.75])
     norm0 = float(np.linalg.norm(w - W_STAR))
     h = 1e-3
 
     def f(t, w_vec):
-        return weight_update_derivative(state, w_vec, np.zeros(3), np.zeros(2), np.eye(2))
+        return weight_update_derivative(gamma, stack, w_vec, np.zeros(3), np.zeros(2), np.eye(2))
 
     worst_margin = 0.0
     for i in range(3000):

@@ -1,5 +1,6 @@
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,12 @@ from adaptive_fbl.cli import (
     main,
     parse_config,
 )
+from adaptive_fbl.concurrent_learning import LearnerConfig
+from adaptive_fbl.controller import ControllerConfig
 from adaptive_fbl.errors import ConfigParseError, OutOfRangeError, UnknownKeyError
-from adaptive_fbl.simulator import EMIT_BLOCK_ROWS, Metrics, Trace
+from adaptive_fbl.gp import GpConfig
+from adaptive_fbl.plant import sine_reference
+from adaptive_fbl.simulator import EMIT_BLOCK_ROWS, Metrics, Trace, scenario_for_case
 
 W_STAR = np.array([1.0, -1.0, 0.5])
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -94,6 +99,23 @@ class TestParseConfig:
         assert cfg.omega == 1.0
         assert cfg.gp_window == 100
         assert cfg.h == 1e-3
+
+    def test_defaults_are_the_library_defaults(self):
+        """RunConfig states no default of its own: the configs it builds
+        from its defaults equal the library's, field by field."""
+        cfg = RunConfig()
+        for built, library in [
+            (cfg.controller_config(), ControllerConfig()),
+            (cfg.learner_config(), LearnerConfig()),
+            (cfg.gp_config(), GpConfig()),
+        ]:
+            for f in fields(library):
+                ours, theirs = getattr(built, f.name), getattr(library, f.name)
+                assert np.array_equal(ours, theirs) if f.name == "q" else ours == theirs, f.name
+        assert cfg.scenario("a") == scenario_for_case("a")
+        ours, theirs = sine_reference(cfg.amplitude, cfg.omega), sine_reference()
+        assert ours.amplitude == theirs.amplitude
+        assert ours.trajectory(1.0) == theirs.trajectory(1.0)
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nseed = 42  # trailing\n")
@@ -346,6 +368,9 @@ class TestMain:
             pytest.param("plant = benchmark_5717148", id="plant"),
             pytest.param("reference = sine", id="reference"),
             pytest.param("gp_lengthscale_mode = shared", id="gp_lengthscale_mode"),
+            pytest.param("gp_sample_period = 0.1", id="gp_sample_period"),
+            pytest.param("gp_refit_period = 0.5", id="gp_refit_period"),
+            pytest.param("gp_sigma_n_floor = 1e-4", id="gp_sigma_n_floor"),
         ],
     )
     def test_deleted_option_exits_2_before_any_case(self, tmp_path, capsys, text):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from adaptive_fbl.concurrent_learning import (
     HistoryStack,
     LearnerConfig,
-    LearnerState,
     Record,
     stack_sigma_min,
     weight_update_derivative,
@@ -75,8 +74,7 @@ class TestPredictionError:
 
 class TestWeightUpdateDerivative:
     def test_zero_error_empty_stack(self):
-        state = LearnerState(3.0, HistoryStack(5))
-        wdot = weight_update_derivative(state, np.array([0.5, -1.3, 0.75]), np.ones(3), np.zeros(2), P_BENCH)
+        wdot = weight_update_derivative(3.0, HistoryStack(5), np.array([0.5, -1.3, 0.75]), np.ones(3), np.zeros(2), P_BENCH)
         np.testing.assert_array_equal(wdot, np.zeros(3))
 
     def test_ideal_weights_quiescent(self):
@@ -85,8 +83,7 @@ class TestWeightUpdateDerivative:
         for _ in range(5):
             rec = record_from_truth(rng.uniform(-1, 1, 3), rng.uniform(-1, 1))
             stack.try_record(rec.phi, rec.xdot_n, rec.u)
-        state = LearnerState(3.0, stack)
-        wdot = weight_update_derivative(state, W_STAR.copy(), np.ones(3), np.zeros(2), P_BENCH)
+        wdot = weight_update_derivative(3.0, stack, W_STAR.copy(), np.ones(3), np.zeros(2), P_BENCH)
         np.testing.assert_allclose(wdot, np.zeros(3), atol=1e-12)
 
     def test_single_record_sum_term(self):
@@ -94,8 +91,7 @@ class TestWeightUpdateDerivative:
         # eps_j = w.phi - (xdot - u) = 0.25 for this record and estimate
         stack.try_record(np.array([1.0, 0.0, 0.0]), xdot_n=0.75, u=0.0)
         w = np.array([1.0, 0.0, 0.0])
-        state = LearnerState(3.0, stack)
-        wdot = weight_update_derivative(state, w, np.zeros(3), np.zeros(2), P_BENCH)
+        wdot = weight_update_derivative(3.0, stack, w, np.zeros(3), np.zeros(2), P_BENCH)
         np.testing.assert_allclose(wdot, [-0.75, 0.0, 0.0], atol=1e-15)
 
 
@@ -269,14 +265,13 @@ class TestExponentialConvergence:
         lam_min = float(np.min(np.linalg.eigvalsh(gram)))
         assert lam_min > 0.0
 
-        state = LearnerState(gamma, stack)
         w = np.array([0.5, -1.3, 0.75])
         h = 1e-3
         norm0 = np.linalg.norm(w - W_STAR)
         prev = norm0
 
         def f(t, w_vec):
-            return weight_update_derivative(state, w_vec, np.zeros(3), np.zeros(2), P_BENCH)
+            return weight_update_derivative(gamma, stack, w_vec, np.zeros(3), np.zeros(2), P_BENCH)
 
         for i in range(2000):
             w = rk4_step(f, i * h, w, h)

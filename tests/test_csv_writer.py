@@ -323,10 +323,10 @@ def test_failed_gp_run_kills_its_writer(tmp_path, monkeypatch):
     monkeypatch.setattr(gp, "usable_cpus", lambda: 2)
     parent, ascend = os.getpid(), gp._ascend
 
-    def failing(lml, theta, floor):
+    def failing(lml, theta):
         if os.getpid() != parent:
             raise NonFiniteValueError("injected fit failure")
-        return ascend(lml, theta, floor)
+        return ascend(lml, theta)
 
     monkeypatch.setattr(gp, "_ascend", failing)
     scenario = scenario_for_case("e", duration=8.0, t1=2.0, t2=3.0, h=H)

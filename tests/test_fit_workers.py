@@ -73,10 +73,10 @@ def inject(monkeypatch):
     parent, ascend = os.getpid(), gp._ascend
 
     def install(failure):
-        def failing(lml, theta, floor):
+        def failing(lml, theta):
             if os.getpid() != parent:
                 failure()
-            return ascend(lml, theta, floor)
+            return ascend(lml, theta)
 
         monkeypatch.setattr(gp, "_ascend", failing)
 
@@ -117,9 +117,7 @@ def test_a_tie_goes_to_the_earliest_start_whichever_process_ascended_it(cpus, mo
     calling process failing and every worker's start tying, the fit takes
     start 1, the first of the first worker's chunk."""
     parent = os.getpid()
-    monkeypatch.setattr(
-        gp, "_ascend", lambda lml, theta, floor: None if os.getpid() == parent else (0.0, theta)
-    )
+    monkeypatch.setattr(gp, "_ascend", lambda lml, theta: None if os.getpid() == parent else (0.0, theta))
     cpus(3)  # chunks [0, 3] here, [1, 4] and [2] in two workers
     model = window_model(starts=4)
     starts = model._start_points(gp._Likelihood(model.inputs, model.targets))

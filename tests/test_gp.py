@@ -191,11 +191,11 @@ class TestPredict:
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, size=(100, 2))
         y = np.sin(2 * x[:, 0]) * np.cos(x[:, 1])
-        model = GpModel(window=100, starts=2, seed=0, sigma_n_floor=1e-4)
+        model = GpModel(window=100, starts=2, seed=0)
         for xi, yi in zip(x, y):
             model.observe(xi, yi)
         model.fit()
-        assert model.hyper.sigma_n == pytest.approx(1e-4)
+        assert model.hyper.sigma_n == pytest.approx(gp.SIGMA_N_FLOOR)
         for q in rng.uniform(-1.2, 1.2, size=(2000, 2)).tolist():
             assert model.predict(q)[0] == model.predict_mean(q)
 
@@ -386,7 +386,7 @@ class TestFit:
 
         with monkeypatch.context() as patch:
             patch.setattr(gp._Likelihood, "evaluate", counted)
-            model = GpModel(window=len(y), starts=starts, seed=seed, sigma_n_floor=1e-4)
+            model = GpModel(window=len(y), starts=starts, seed=seed)
             for xi, yi in zip(x, y):
                 model.observe(xi, yi)
             model.fit()
@@ -450,11 +450,11 @@ class TestFit:
         # noise-free smooth data pushes sigma_n to the floor, not below
         x = np.linspace(-2, 2, 40)[:, None]
         y = np.sin(x[:, 0])
-        model = GpModel(window=40, starts=3, seed=0, sigma_n_floor=1e-4)
+        model = GpModel(window=40, starts=3, seed=0)
         for xi, yi in zip(x, y):
             model.observe(xi, yi)
         model.fit()
-        assert model.hyper.sigma_n >= 1e-4 * (1 - 1e-12)
+        assert model.hyper.sigma_n >= gp.SIGMA_N_FLOOR * (1 - 1e-12)
 
     def test_non_finite_trial_point_is_a_rejected_step(self, monkeypatch):
         """A gradient of nan makes every trial point nan. Each is rejected
@@ -465,7 +465,7 @@ class TestFit:
         lml = gp._Likelihood(x, y)
         theta = Hyperparams(1.0, 0.7, 0.1).log_vector()
         monkeypatch.setattr(gp._Likelihood, "gradient", lambda self, hyper, ev: np.full(3, np.nan))
-        value, end = gp._ascend(lml, theta, 1e-4)
+        value, end = gp._ascend(lml, theta)
         assert end.tobytes() == theta.tobytes()
         assert value == lml.evaluate(Hyperparams.from_log_vector(theta)).value
 
@@ -571,6 +571,11 @@ class TestGpConfig:
         with pytest.raises(ValueError):
             GpConfig(window=0)
         with pytest.raises(ValueError):
-            GpConfig(sample_period=0.0)
-        with pytest.raises(ValueError):
-            GpConfig(sigma_n_floor=0.0)
+            GpConfig(starts=-1)
+
+    @pytest.mark.parametrize("name", ["sample_period", "refit_period", "sigma_n_floor"])
+    def test_fixed_settings_are_not_fields(self, name):
+        """The sampling and refit periods and the noise floor are gp's
+        constants, not settings of a model."""
+        with pytest.raises(TypeError):
+            GpConfig(**{name: 1.0})

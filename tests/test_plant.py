@@ -97,6 +97,14 @@ class TestReference:
         np.testing.assert_allclose(x_ref, [0.0, -0.5], atol=1e-15)
         assert abs(xdot_n) <= 1e-15
 
+    @pytest.mark.parametrize("name", ["amplitude", "omega"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_bad_amplitude_or_frequency(self, name, value):
+        """The reference fails at construction, naming the argument, not as
+        a nan state in the middle of a run."""
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            sine_reference(**{name: value})
+
     def test_derivative_chain_consistency(self):
         ref = sine_reference(amplitude=0.5, omega=1.0)
         eps = 1e-5

@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -12,7 +13,7 @@ from adaptive_fbl import simulator
 from adaptive_fbl.concurrent_learning import LearnerConfig
 from adaptive_fbl.controller import ControllerConfig, compute_P, weighting_matrix
 from adaptive_fbl.errors import NonFiniteValueError, StateEscapeError
-from adaptive_fbl.gp import GpConfig
+from adaptive_fbl.gp import REFIT_PERIOD, GpConfig
 from adaptive_fbl.numerics import quad_form
 from adaptive_fbl.plant import (
     Plant,
@@ -88,6 +89,32 @@ class TestScenario:
             scenario_for_case("b", h=h, t1=t1, t2=t2, duration=2.0)
         # t1 == t2 asks for no stage 2, and gets none
         assert scenario_for_case("b", h=0.5, t1=10.0, t2=10.0).t2 == 10.0
+
+    @pytest.mark.parametrize(
+        "make, name, value",
+        [
+            (make, name, value)
+            for make, names in [
+                (ControllerConfig, ["m", "rho", "r"]),
+                (LearnerConfig, ["gamma_w", "stack_capacity", "record_period"]),
+                (GpConfig, ["window", "starts"]),
+                (Scenario, ["h", "duration", "t1", "t2"]),
+            ]
+            for name in names
+            for value in [math.nan, math.inf, -math.inf]
+        ]
+        + [
+            (ControllerConfig, "gains", [20.0, math.nan]),
+            (ControllerConfig, "q", [[1.0, 0.0], [0.0, math.inf]]),
+        ],
+    )
+    def test_library_configs_reject_non_finite_values(self, make, name, value):
+        """inf and nan fail at construction, naming the field, not in the
+        middle of a run: `nan <= 0` is False, so a range check passes it."""
+        if make is Scenario:
+            make = functools.partial(scenario_for_case, "b")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make(**{name: value})
 
     def test_controller_order_must_match_plant(self, monkeypatch):
         """Three gains on the order-2 plant fail before a stepping kernel is
@@ -331,7 +358,7 @@ class TestSteppingCore:
         monkeypatch.setattr(simulator, "step_kernel", observed)
         learning, steps = 10, 20
         scn = scenario_for_case("b", duration=steps * 1e-3, t1=learning * 1e-3, t2=0.015)
-        counted_reference = ReferenceModel(counted("trajectory", reference.trajectory))
+        counted_reference = ReferenceModel(counted("trajectory", reference.trajectory), reference.amplitude)
         run_case(scn, plant=counted_plant, reference=counted_reference)
         # three stages inside each step; the row's evaluation is its k1
         assert step_evaluations == [3] * steps
@@ -394,8 +421,15 @@ class TestMetrics:
         assert masks[0].sum() == 2000  # [8, 10) seconds
         assert masks[1].sum() == 2000
         assert masks[2].sum() == 2001  # stage 3 includes the final row
-        m = compute_metrics(tr, 0.5)
+        m = compute_metrics(tr)
         assert m.overall_error_pct == pytest.approx(200.0)
+
+    def test_run_normalises_by_its_references_amplitude(self):
+        """The reference carries its amplitude into the trace, and the
+        metrics state the error as a percentage of it."""
+        tr, m = run_case(scenario_for_case("a", h=0.01), reference=sine_reference(amplitude=0.25))
+        assert tr.ref_amplitude == 0.25
+        assert m.stage_error_pct[0] == average_error_pct(tr.e[stage_masks(tr)[0], 0], 0.25)
 
     def test_final_weight_error(self, case_runs):
         tr, metrics = case_runs["a"]
@@ -458,7 +492,7 @@ class TestLyapunovMonitor:
         i1, i2 = stage_rows(scn.t1, scn.t2, h)
         smooth = (np.abs(i - i1) > 1) & (np.abs(i - i2) > 1)
         if scn.gp_enabled:
-            refit_every = round(GpConfig().refit_period / h)
+            refit_every = round(REFIT_PERIOD / h)
             smooth &= (i < i2) | ((i - i2 + 1) % refit_every > 2)
         assert np.all(np.abs(fd - vdot[1:-1])[smooth] <= bound[smooth])
 
@@ -629,6 +663,6 @@ class TestPlantShape:
     def test_reference_length_checked_before_stepping(self, states):
         """A reference with the wrong number of states is refused at the
         run's start with both lengths, not inside the row store."""
-        wrong = ReferenceModel(lambda t: ([math.sin(t)] * states, 0.0))
+        wrong = ReferenceModel(lambda t: ([math.sin(t)] * states, 0.0), amplitude=1.0)
         with pytest.raises(ValueError, match=f"reference returned {states} states, the plant has order 2"):
             run_case(scenario_for_case("a", duration=1.0), reference=wrong)

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_fbl.concurrent_learning import HistoryStack, LearnerState, weight_update_derivative
+from adaptive_fbl.concurrent_learning import HistoryStack, weight_update_derivative
 from adaptive_fbl.controller import ControllerConfig, compute_control
 from adaptive_fbl.numerics import rk4_step
 from adaptive_fbl.plant import Plant, sine_reference
@@ -47,7 +47,7 @@ def gp_predict(x):
     return gp_mean(x), 0.05
 
 
-def reference_loop(cfg, p_last, plant, reference, w_bound, flags, lstate):
+def reference_loop(cfg, p_last, plant, reference, w_bound, flags, gamma, stack):
     """The closed loop f(t, z), z = x + w on a step that learns, else x."""
     learning, disturbed, compensation = flags
     n, w_star = plant.order, plant.ideal_weights.tolist()
@@ -67,7 +67,7 @@ def reference_loop(cfg, p_last, plant, reference, w_bound, flags, lstate):
         u = compute_control(cfg, [p_last], w, phi, e, u_ref, g).u_total
         xdot = [*x[1:], sum(map(mul, w_star, phi)) + u + d]
         if learning:
-            return xdot + weight_update_derivative(lstate, w, phi, e, [p_last])
+            return xdot + weight_update_derivative(gamma, stack, w, phi, e, [p_last])
         return xdot
 
     return f
@@ -115,14 +115,14 @@ def test_kernel_matches_rk4_over_the_reference_loop(
     stack = HistoryStack(capacity=5)
     for _ in range(records):
         stack.try_record(vector(m), data.draw(finite), data.draw(finite))
-    lstate = LearnerState(gamma_w=data.draw(st.floats(0.1, 5.0)), stack=stack)
+    gamma = data.draw(st.floats(0.1, 5.0))
 
     kernel = step_kernel(
         cfg, p_last, plant, reference, h, w,
         learning=learning, disturbed=disturbed, compensation=compensation,
-        gamma=lstate.gamma_w, stack=stack, predict=gp_predict, predict_mean=gp_mean,
+        gamma=gamma, stack=stack, predict=gp_predict, predict_mean=gp_mean,
     )
-    f = reference_loop(cfg, p_last, plant, reference, w, (learning, disturbed, compensation), lstate)
+    f = reference_loop(cfg, p_last, plant, reference, w, (learning, disturbed, compensation), gamma, stack)
     z = x + w if learning else x
 
     expected_k1 = f(t, z)
