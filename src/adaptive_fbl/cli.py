@@ -329,6 +329,7 @@ def main(argv=None) -> int:
         # everything a case needs is resolved before the first one runs
         scenarios = [cfg.scenario(case_id) for case_id in cfg.cases]
         controller = cfg.controller_config()
+        learner, gp_cfg, reference = cfg.learner_config(), cfg.gp_config(), sine_reference(cfg.amplitude, cfg.omega)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -345,11 +346,11 @@ def main(argv=None) -> int:
             _, m = run_case(
                 scenario,
                 cfg=controller,
-                learner=cfg.learner_config(),
-                gp_cfg=cfg.gp_config(),
+                learner=learner,
+                gp_cfg=gp_cfg,
                 seed=cfg.seed,
                 plant=plant,
-                reference=sine_reference(cfg.amplitude, cfg.omega),
+                reference=reference,
                 csv_path=csv_path,
             )
         except Exception as exc:  # noqa: BLE001 - report any failed run and stop

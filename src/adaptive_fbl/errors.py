@@ -21,6 +21,10 @@ class TraceWriteError(Exception):
     """The process writing a run's CSV trace failed."""
 
 
+class FitWorkerError(Exception):
+    """A process ascending some of a GP fit's optimizer starts failed."""
+
+
 class UnfittedModelError(Exception):
     """Prediction requested from a model that has never been fitted."""
 

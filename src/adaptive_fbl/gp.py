@@ -25,10 +25,11 @@ Predictions read a snapshot frozen at the last fit, so observations can
 stream in between refits without perturbing the controller mid-step.
 
 The optimizer starts are independent, since the likelihood is multimodal,
-so a fit can ascend some of them in forked worker processes (fit_workers)
-while the calling process ascends the rest. The results come back in start
-order and the winner is picked as in-process, so every fit is bit-identical
-whichever way its starts were dealt.
+so a fit deals them round-robin over one process per usable CPU (not
+threads: scipy's LAPACK wrappers hold the interpreter lock). It forks a
+child per chunk but the first, ascends the first itself and reads the
+children's results back through pipes. The winner is picked in start
+order, so every fit is bit-identical whichever way its starts were dealt.
 """
 
 from __future__ import annotations
@@ -38,19 +39,16 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    AllStartsFailedError,
-    NonFiniteValueError,
-    NotPositiveDefiniteError,
-    UnfittedModelError,
-)
-from .numerics import dot, require_finite
+from .errors import AllStartsFailedError, FitWorkerError, NonFiniteValueError, NotPositiveDefiniteError
+from .errors import UnfittedModelError
+from .numerics import dot, fork_child, reap_child, require_finite
 
 JITTER_REL = 1e-8
 LOG_BOUND = 6.0  # |log hyperparam| cap during optimization
@@ -120,34 +118,7 @@ def _scipy_linalg_extension(name: str):
 
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def fit_workers(starts: int):
-    """A concurrent.futures.ProcessPoolExecutor of min(starts, usable_cpus())
-    - 1 forked processes for GpModel.fit to ascend optimizer starts in, or
-    None when that is no process or the platform cannot fork.
-
-    The workers are processes, not threads, because scipy's LAPACK wrappers
-    (dpotrf, dpotri) hold the interpreter lock. They are forked after the
-    wrappers have loaded here, so each inherits them, with their one BLAS
-    thread. The pool forks them at its first task, before it starts its
-    own threads. The caller shuts the pool down.
-    """
-    count = min(starts, usable_cpus()) - 1
-    if count < 1:
-        return None
-    # imported here: concurrent.futures.process costs about 40 ms, which a
-    # run without a multi-start fit should not pay
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    _lapack()
-    return ProcessPoolExecutor(count, mp_context=multiprocessing.get_context("fork"))
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -371,11 +342,23 @@ def _ascend(lml: _Likelihood, theta: np.ndarray) -> tuple[float, np.ndarray] | N
     return value, theta
 
 
-def _ascend_starts(x: np.ndarray, y: np.ndarray, starts: list[np.ndarray]) -> list[tuple[float, np.ndarray] | None]:
-    """_ascend from each start on the window (x, y): the task a fit hands a
-    worker process."""
-    lml = _Likelihood(x, y)
-    return [_ascend(lml, theta) for theta in starts]
+def _fork_ascent(lml: _Likelihood, starts: list[np.ndarray]):
+    """Fork a child that ascends starts on lml, which it inherits, and
+    pickles their results down a pipe: (its pid, the pipe's read end)."""
+    read, write = os.pipe()
+
+    def ascend_chunk():
+        with open(write, "wb") as out:
+            pickle.dump([_ascend(lml, theta) for theta in starts], out)
+
+    try:
+        pid = fork_child(ascend_chunk, "GP fit worker")
+    except BaseException:
+        os.close(read)
+        raise
+    finally:
+        os.close(write)
+    return pid, open(read, "rb")
 
 
 def log_marginal_likelihood(
@@ -423,10 +406,6 @@ class GpModel:
         self._snap_x: np.ndarray | None = None
         self._snap_chol: np.ndarray | None = None
         self._snap_alpha: np.ndarray | None = None
-        # an executor from fit_workers whose processes ascend some of each
-        # fit's starts, or None to ascend all of them here; its owner shuts
-        # it down
-        self.workers = None
 
     @classmethod
     def from_config(cls, cfg: GpConfig, seed: int = 0) -> "GpModel":
@@ -498,24 +477,35 @@ class GpModel:
         AllStartsFailedError (keeping the previous state) if no start
         yields a positive-definite kernel matrix.
 
-        With workers, the starts are dealt round-robin over p =
-        min(starts, usable_cpus()) chunks: this process ascends chunk 0
-        while the workers ascend the others. An exception in a worker's
-        chunk is raised here with its own type, and a worker that dies
-        raises concurrent.futures.process.BrokenProcessPool.
+        The starts are dealt round-robin over p = min(starts,
+        usable_cpus()) chunks, one without os.fork: chunk 0 is ascended
+        here, each other one in a forked child. A failed child writes its
+        traceback to stderr, and the fit raises FitWorkerError. On any
+        failure each child is killed and reaped, so none outlives the fit.
         """
         if len(self._targets) < 2:
             raise ValueError("fit requires at least 2 training points")
-        x = np.array(self._inputs)
-        lml = _Likelihood(x, np.array(self._targets))
+        lml = _Likelihood(np.array(self._inputs), np.array(self._targets))
 
         starts = self._start_points(lml)
-        p = 1 if self.workers is None else min(len(starts), usable_cpus())
-        chunks = [self.workers.submit(_ascend_starts, x, lml.y, starts[k::p]) for k in range(1, p)]
+        p = min(len(starts), usable_cpus()) if hasattr(os, "fork") else 1
         results = [None] * len(starts)
-        results[::p] = [_ascend(lml, theta) for theta in starts[::p]]
-        for k, chunk in enumerate(chunks, 1):
-            results[k::p] = chunk.result()
+        _lapack()  # loaded before any fork, so every child inherits it
+        children = []  # (pid, result pipe) for each chunk after the first
+        payloads = None
+        try:
+            for k in range(1, p):
+                children.append(_fork_ascent(lml, starts[k::p]))
+            results[::p] = [_ascend(lml, theta) for theta in starts[::p]]
+            payloads = [pipe.read() for _, pipe in children]
+        finally:
+            codes = [reap_child(pid, kill=payloads is None) for pid, _ in children]
+            for _, pipe in children:
+                pipe.close()
+        for k, (code, payload) in enumerate(zip(codes, payloads), 1):
+            if code != 0:
+                raise FitWorkerError(f"GP fit worker {k} of {p - 1} exited with status {code}")
+            results[k::p] = pickle.loads(payload)
 
         best: tuple[float, np.ndarray] | None = None
         for result in results:

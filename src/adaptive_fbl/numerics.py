@@ -1,5 +1,6 @@
 """Dense linear algebra for small systems, fixed-step RK4 integration,
-and the source helpers of the simulator's generated stepping kernel.
+the source helpers of the simulator's generated stepping kernel, and the
+fork/reap pair of every child process (CSV writer, GP fit worker).
 
 Matrices are tiny (state order n <= 5, kernel windows ~100), so dense
 direct methods are used throughout. The integrator and the dot products
@@ -13,6 +14,9 @@ code and library code round alike on every CPython version.
 
 from __future__ import annotations
 
+import gc
+import os
+import signal
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,3 +167,32 @@ def rk4_step(
         xi + sixth * (a + 2.0 * b + 2.0 * c + d)
         for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
     ]
+
+
+def fork_child(body: Callable[[], object], name: str) -> int:
+    """Fork a child that runs body, and return its pid. The child collects
+    no garbage, so it finalizes none of the parent's objects, and leaves
+    only through os._exit, never into its caller's stack: with status 0
+    once body returns, else 1, after writing name and the traceback to fd 2."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            gc.disable()
+            body()
+            status = 0
+        except BaseException:
+            import traceback
+
+            os.write(2, f"{name}:\n{traceback.format_exc()}".encode())
+        finally:
+            os._exit(status)
+    return pid
+
+
+def reap_child(pid: int, kill: bool = False) -> int:
+    """Wait for the child pid, first sending it SIGKILL if kill, and return
+    its exit code: minus the signal's number if a signal ended it."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

@@ -44,7 +44,6 @@ back, until the two meet (`_CsvWriter`).
 
 from __future__ import annotations
 
-import gc
 import math
 import mmap
 import os
@@ -68,8 +67,9 @@ from .controller import (
     weighting_matrix,
 )
 from .errors import NonFiniteValueError, StateEscapeError, TraceWriteError
-from .gp import REFIT_PERIOD, SAMPLE_PERIOD, GpConfig, GpModel, fit_workers, training_target
-from .numerics import compiled, dot, dot_source, function_source, quad_form, require_finite, symbols, tuple_source
+from .gp import REFIT_PERIOD, SAMPLE_PERIOD, GpConfig, GpModel, training_target
+from .numerics import compiled, dot, dot_source, fork_child, function_source, quad_form, reap_child, require_finite
+from .numerics import symbols, tuple_source
 from .numerics import rk4_step  # noqa: F401
 from .plant import (
     Plant,
@@ -277,9 +277,7 @@ class _CsvWriter:
     its blocks onto the end of the temporary file in forward order,
     deletes the side file and renames the temporary file to `path`.
 
-    On any failure the run kills the writer and deletes both files
-    itself. It never waits for the writer to see the pipe close: a fit
-    worker forked later holds the pipe's write end too.
+    On any failure the run kills the writer and deletes both files.
     """
 
     def __init__(self, path, rows: int, trace_of: Callable[[int, int], Trace]):
@@ -295,13 +293,8 @@ class _CsvWriter:
         self.ends[1] = -(-rows // EMIT_BLOCK_ROWS)
         counts, self.pipe = os.pipe()
         try:
-            out = os.open(self.tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-            try:
-                self.pid = os.fork()
-                if self.pid == 0:
-                    self._serve(out, counts)
-            finally:
-                os.close(out)
+            open(self.tmp, "w").close()  # the flock's file exists before either process locks it
+            self.pid = fork_child(lambda: self._serve(counts), f"CSV writer for {self.path}")
         except BaseException:
             os.close(self.pipe)
             _remove(self.tmp)
@@ -359,11 +352,7 @@ class _CsvWriter:
         if self.pid is not None:
             pid, self.pid = self.pid, None
             os.close(self.pipe)
-            if kill:
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            code = reap_child(pid, kill)
         if kill or code != 0:
             _remove(self.tmp)
             _remove(self.tail)
@@ -384,42 +373,28 @@ class _CsvWriter:
             self.ends[1] = back - 1
         return back - 1
 
-    def _serve(self, out: int, counts: int) -> None:
-        """The writer process's whole life: claim and format blocks from
-        the front as the run reports them stored, until the two ends
-        meet. It calls no BLAS routine, and it leaves through os._exit
-        only, so it never returns into the stack of the code that forked
-        it."""
-        status = 1
-        try:
-            os.close(self.pipe)
-            # no collection, so none of the run's inherited garbage is finalized here
-            gc.disable()
-            lock = os.open(self.tmp, os.O_RDONLY)  # this process's own open file for the flock
-            with open(out, "w", newline="") as fh, open(counts, "rb") as msgs:
-                _write_rows(fh, self.trace_of(0, 0), header=True)
-                ready = 0  # the blocks whose rows are all stored
-                while True:
-                    with _locked(lock):
-                        block, back = self.ends
-                        if block < min(ready, back):
-                            self.ends[0] = block + 1
-                    if block == back:
-                        break
-                    if block == ready:
-                        msg = msgs.read(8)
-                        if len(msg) != 8:
-                            raise EOFError("the run's last row count never came")
-                        ready = -(-int.from_bytes(msg, "little") // EMIT_BLOCK_ROWS)
-                    else:
-                        _write_rows(fh, self._block(block))
-            status = 0
-        except BaseException:
-            import traceback
-
-            os.write(2, f"CSV writer for {self.path}:\n{traceback.format_exc()}".encode())
-        finally:
-            os._exit(status)
+    def _serve(self, counts: int) -> None:
+        """The writer process's body, which calls no BLAS routine: claim and
+        format blocks from the front as the run stores them, until the ends meet."""
+        os.close(self.pipe)
+        lock = os.open(self.tmp, os.O_RDONLY)  # this process's own open file for the flock
+        with open(self.tmp, "w", newline="") as fh, open(counts, "rb") as msgs:
+            _write_rows(fh, self.trace_of(0, 0), header=True)
+            ready = 0  # the blocks whose rows are all stored
+            while True:
+                with _locked(lock):
+                    block, back = self.ends
+                    if block < min(ready, back):
+                        self.ends[0] = block + 1
+                if block == back:
+                    break
+                if block == ready:
+                    msg = msgs.read(8)
+                    if len(msg) != 8:
+                        raise EOFError("the run's last row count never came")
+                    ready = -(-int.from_bytes(msg, "little") // EMIT_BLOCK_ROWS)
+                else:
+                    _write_rows(fh, self._block(block))
 
 
 @contextmanager
@@ -699,7 +674,8 @@ def run_case(
     (`_CsvWriter`). The run gives the file its name before it returns. A
     run that fails leaves neither that file nor a temporary or side one;
     a writer that fails fails the run with TraceWriteError. Without
-    os.fork the CSV is written after the last step.
+    os.fork the CSV is written after the last step. Each GP fit forks and
+    reaps its own processes (`GpModel.fit`), so none outlives a fit.
     """
     if cfg is None:
         cfg = ControllerConfig()
@@ -812,8 +788,6 @@ def run_case(
             learning = scenario.cl_enabled and stage == 1
 
             if model is not None and stage == 3 and (i - i2) % refit_every == 0 and len(model) >= 2:
-                if not model.fitted:  # the run's first fit starts its workers
-                    model.workers = fit_workers(model.starts + 1)
                 model.fit()
 
             compensation = None
@@ -863,12 +837,10 @@ def run_case(
         elif csv_path is not None:
             emit_trace(trace, csv_path)
     finally:
-        # The run owns its CSV writer and its fit workers: no process or
-        # thread outlives it. A failed run kills its writer and deletes its
+        # The run owns its CSV writer, as each fit owns its children: no
+        # process outlives it. A failed run kills its writer and deletes its
         # files (a no-op once finish has named the CSV), and so reports its
         # own error.
         if writer is not None:
             writer.close(kill=True)
-        if model is not None and model.workers is not None:
-            model.workers.shutdown(cancel_futures=True)
     return trace, metrics

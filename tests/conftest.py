@@ -19,10 +19,9 @@ settings.load_profile("tier1")
 
 
 def assert_no_child_process():
-    """No child process is left, running or unreaped. A raw os.fork, such as
-    a run's CSV writer, is invisible to multiprocessing.active_children();
-    os.waitpid(-1, WNOHANG) raises ChildProcessError only when the calling
-    process has no child at all."""
+    """No child process is left, running or unreaped: no run's CSV writer
+    and no fit's worker. os.waitpid(-1, WNOHANG) raises ChildProcessError
+    only when the calling process has no child at all."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -1,8 +1,8 @@
 """A run's CSV streamed by its forked writer, with the last blocks
 formatted by the run when the writer is behind: the bytes `emit_trace`
 writes for the returned trace, a file only once the run has succeeded,
-and no process left behind, whether the run, the writer or a fit worker
-fails.
+and no process left behind, whether the run, the writer or a fit's
+worker fails.
 """
 
 import math
@@ -15,8 +15,8 @@ from conftest import assert_no_child_process
 
 from adaptive_fbl import gp, simulator
 from adaptive_fbl.cli import main
-from adaptive_fbl.errors import NonFiniteValueError, StateEscapeError, TraceWriteError
-from adaptive_fbl.gp import GpConfig, fit_workers
+from adaptive_fbl.errors import FitWorkerError, NonFiniteValueError, StateEscapeError, TraceWriteError
+from adaptive_fbl.gp import GpConfig
 from adaptive_fbl.plant import Plant, benchmark_plant
 from adaptive_fbl.simulator import EMIT_BLOCK_ROWS, emit_trace, run_case, scenario_for_case
 
@@ -66,20 +66,15 @@ def test_streamed_csv_equals_emit_trace(tmp_path, rows):
     assert whole.count(b"\n") == rows + 1
 
 
-def test_streamed_csv_with_a_fit_pool_forked_after_the_writer(tmp_path, monkeypatch):
-    """A short case e whose fits deal three starts over two processes: the
-    pool inherits the writer's pipe, and the run must not wait on it."""
+def test_streamed_csv_with_fit_workers_forked_after_the_writer(tmp_path, monkeypatch):
+    """A short case e whose eleven fits each deal three starts over two
+    processes: every fit's child inherits the writer's pipe."""
     monkeypatch.setattr(gp, "usable_cpus", lambda: 2)
-    pools = []
-
-    def recording(starts):
-        pools.append(fit_workers(starts))
-        return pools[-1]
-
-    monkeypatch.setattr(simulator, "fit_workers", recording)
+    forks, fork = [], gp.fork_child
+    monkeypatch.setattr(gp, "fork_child", lambda body, name: forks.append(name) or fork(body, name))
     scenario = scenario_for_case("e", duration=8.0, t1=2.0, t2=3.0, h=H)
     streamed, whole, _ = streamed_and_whole(tmp_path, scenario, gp_cfg=GpConfig(window=30, starts=2))
-    assert len(pools) == 1 and pools[0] is not None
+    assert len(forks) == 11
     assert streamed == whole
 
 
@@ -318,8 +313,8 @@ def test_cli_reports_a_failed_writer_as_a_failed_case(tmp_path, failing_writer, 
 
 
 def test_failed_gp_run_kills_its_writer(tmp_path, monkeypatch):
-    """A fit worker's failure fails the run while its writer waits for rows
-    on a pipe whose write end the worker holds too."""
+    """A fit worker's failure fails the run while its writer waits for
+    rows."""
     monkeypatch.setattr(gp, "usable_cpus", lambda: 2)
     parent, ascend = os.getpid(), gp._ascend
 
@@ -330,7 +325,7 @@ def test_failed_gp_run_kills_its_writer(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gp, "_ascend", failing)
     scenario = scenario_for_case("e", duration=8.0, t1=2.0, t2=3.0, h=H)
-    with pytest.raises(NonFiniteValueError, match="injected fit failure"):
+    with pytest.raises(FitWorkerError, match="exited with status 1"):
         run_case(scenario, gp_cfg=GpConfig(window=30, starts=2), csv_path=tmp_path / "case_e.csv")
     assert os.listdir(tmp_path) == []
     assert_no_child_process()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from adaptive_fbl import gp, simulator
+from adaptive_fbl import gp
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "fit_counts.py"
 
@@ -27,7 +27,7 @@ def fit_counts():
 
 
 def test_case_e_row(fit_counts, capsys):
-    wrapped = (gp._Likelihood.evaluate, gp._Likelihood.gradient, gp.GpModel.fit, simulator.fit_workers)
+    wrapped = (gp._Likelihood.evaluate, gp._Likelihood.gradient, gp.GpModel.fit, gp.usable_cpus)
     fit_counts.main(["--runs", "e", "--seeds", "0", "--h", "0.01"])
     header, rule, row, *rest = capsys.readouterr().out.splitlines()
     assert rest == []
@@ -45,7 +45,7 @@ def test_case_e_row(fit_counts, capsys):
     errors = [float(cells[f"stage {k} (%)"]) for k in (1, 2, 3)]
     assert all(math.isfinite(e) and e > 0 for e in errors)
     # the wrappers are taken off again
-    assert (gp._Likelihood.evaluate, gp._Likelihood.gradient, gp.GpModel.fit, simulator.fit_workers) == wrapped
+    assert (gp._Likelihood.evaluate, gp._Likelihood.gradient, gp.GpModel.fit, gp.usable_cpus) == wrapped
 
 
 def test_unknown_run_exits_2(fit_counts):

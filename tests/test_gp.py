@@ -386,6 +386,7 @@ class TestFit:
 
         with monkeypatch.context() as patch:
             patch.setattr(gp._Likelihood, "evaluate", counted)
+            patch.setattr(gp, "usable_cpus", lambda: 1)  # every start in this process, so counted
             model = GpModel(window=len(y), starts=starts, seed=seed)
             for xi, yi in zip(x, y):
                 model.observe(xi, yi)

@@ -1,7 +1,7 @@
 """scipy stays off the import path until the first GP fit, and the fit
 loads only scipy's two compiled wrapper modules, scipy.linalg._flapack and
-_fblas, never the scipy.linalg package. The process pool's modules wait
-for a fit with two or more starts. scipy's LAPACK loads with one thread
+_fblas, never the scipy.linalg package. A fit forks its own workers, so
+no run loads a process pool's modules. scipy's LAPACK loads with one thread
 whatever the caller's thread variables say, and leaves them as they were;
 numpy's BLAS keeps the caller's count. No trace depends on either.
 
@@ -29,21 +29,25 @@ TASKS = "/proc/self/task"  # one entry per OS thread on Linux
 
 SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
-# the modules a fit's worker processes need; concurrent.futures.process
-# alone takes about 40 ms to import
-POOL_ROOTS = ("multiprocessing", "concurrent")
-POOL_LOADED = f"sorted(m for m in sys.modules if m.split('.')[0] in {POOL_ROOTS!r})"
+# a process pool's modules: 13 of them, about 40 ms to import
+POOL_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))"
+# forces two usable CPUs in a child interpreter, so a fit with two or more
+# starts forks a worker, and counts the workers the fits fork
+TWO_CPUS = (
+    "from adaptive_fbl import gp\n"
+    "gp.usable_cpus, forks, fork = (lambda: 2), [], gp.fork_child\n"
+    "gp.fork_child = lambda body, name: forks.append(name) or fork(body, name)\n"
+)
 
 # a short case e: GP fits happen, but on small windows from one start, or
-# from three with gp_starts = 2 (forked workers, given two usable CPUs)
+# from three with gp_starts = 2 (one forked worker per fit, given two CPUs)
 GP_CONFIG = "cases = e\nh = 0.02\ngp_window = 10\ngp_starts = {starts}\n"
 # the benchmark's wide_window workload: fits on up to 200 x 200 matrices
 WIDE_WINDOW = "cases = e\nh = 0.01\ngp_window = 200\n"
 
 
-def module_level_imports(tree: ast.Module, roots: tuple[str, ...] = ("scipy",)) -> list[int]:
-    """Line numbers of imports from the packages roots (default: scipy)
-    outside any function body."""
+def module_level_imports(tree: ast.Module) -> list[int]:
+    """Line numbers of imports from scipy outside any function body."""
     lines, pending = [], list(tree.body)
     while pending:
         node = pending.pop()
@@ -56,18 +60,11 @@ def module_level_imports(tree: ast.Module, roots: tuple[str, ...] = ("scipy",)) 
         else:
             pending.extend(ast.iter_child_nodes(node))
             continue
-        if any(name.split(".")[0] in roots for name in names):
+        if any(name.split(".")[0] == "scipy" for name in names):
             lines.append(node.lineno)
     return sorted(lines)
 
 
-def package_imports(roots: tuple[str, ...]) -> dict[str, list[int]]:
-    """{file name: lines} of the package's module-level imports from roots."""
-    return {
-        path.name: lines
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (lines := module_level_imports(ast.parse(path.read_text(), filename=str(path)), roots))
-    }
 
 
 def run_child(code: str, tmp_path, **env_vars) -> list:
@@ -87,15 +84,12 @@ def run_child(code: str, tmp_path, **env_vars) -> list:
 def test_no_module_imports_scipy_at_module_level():
     """A top-of-file scipy import would put 0.4 s and 27 MB back on every
     run's start and load scipy's BLAS with the caller's thread count."""
-    found = package_imports(("scipy",))
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := module_level_imports(ast.parse(path.read_text(), filename=str(path))))
+    }
     assert found == {}, f"module-level scipy imports (file: lines): {found}"
-
-
-def test_no_module_imports_the_process_pool_at_module_level():
-    """multiprocessing and concurrent.futures load where a fit first asks
-    for workers, so a run without a multi-start fit never pays for them."""
-    found = package_imports(POOL_ROOTS)
-    assert found == {}, f"module-level pool imports (file: lines): {found}"
 
 
 def test_guard_sees_nested_and_ignores_function_imports():
@@ -105,11 +99,8 @@ def test_guard_sees_nested_and_ignores_function_imports():
         "def f():\n    import scipy\n"
         "class C:\n    import scipy.linalg as la\n"
         "import scipyish\n"
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "import multiprocessing.context\n"
     )
     assert module_level_imports(tree) == [3, 9]
-    assert module_level_imports(tree, POOL_ROOTS) == [11, 12]
 
 
 def test_cli_import_and_gp_free_case_leave_scipy_unloaded(tmp_path):
@@ -123,6 +114,23 @@ def test_cli_import_and_gp_free_case_leave_scipy_unloaded(tmp_path):
         tmp_path,
     )
     assert result == [[False, []], [False, []]]
+
+
+def test_multi_start_fit_on_two_cpus_loads_no_process_pool(tmp_path):
+    """Each fit forks and reaps its worker itself, so a run whose fits split
+    three starts over two CPUs loads neither multiprocessing nor
+    concurrent.futures, and leaves no child process."""
+    (tmp_path / "gp.cfg").write_text(GP_CONFIG.format(starts=2))
+    result = run_child(
+        "import json, os, sys\n"
+        + TWO_CPUS
+        + "from adaptive_fbl.cli import main\n"
+        "code = main(['--config', 'gp.cfg'])\n"
+        "try:\n    child = os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n    child = None\n"
+        f"print(json.dumps([code, {POOL_LOADED}, child, len(forks)]))\n",
+        tmp_path,
+    )
+    assert result[:3] == [0, [], None] and result[3] > 1
 
 
 def test_gp_fit_loads_only_the_two_wrapper_modules(tmp_path):
@@ -161,42 +169,29 @@ def test_gp_fit_starts_no_blas_thread_and_keeps_the_callers_variables(tmp_path, 
             GP_CONFIG.format(starts=starts) + f"out = {tmp_path / f'out{starts}'}\n"
         )
     result = run_child(
-        "import json, os, sys, time\n"
-        "from adaptive_fbl.cli import main\n"
+        "import json, os, sys, threading\n"
+        + TWO_CPUS
+        + "from adaptive_fbl.cli import main\n"
         f"threads = lambda: len(os.listdir({TASKS!r})) if os.path.isdir({TASKS!r}) else 0\n"
-        # A thread that has ended leaves the OS list up to a few tenths of a
-        # millisecond later (the pool's manager thread after shutdown()), so
-        # the count is read until it stops falling, for at most 1 s. A
-        # thread that outlives the run keeps the count up.
-        "def settled():\n"
-        "    count, deadline = threads(), time.monotonic() + 1.0\n"
-        "    while time.monotonic() < deadline:\n"
-        "        time.sleep(0.01)\n"
-        "        now = threads()\n"
-        "        if now >= count:\n"
-        "            return now\n"
-        "        count = now\n"
-        "    return count\n"
         # a warm-up fork parks numpy's OpenBLAS threads, as each run's own
         # fork of its CSV writer does, so the count after it is the baseline
         "pid = os.fork()\n"
         "os._exit(0) if pid == 0 else os.waitpid(pid, 0)\n"
         "before = threads()\n"
-        "runs = [[main(['--config', f'gp{s}.cfg']), settled() - before] for s in (0, 2)]\n"
-        "import multiprocessing, threading\n"
+        "runs = [[main(['--config', f'gp{s}.cfg']), threads() - before] for s in (0, 2)]\n"
         f"print(json.dumps([runs, {SCIPY_LOADED}, [os.environ.get(v) for v in {THREAD_VARS!r}],"
-        " len(multiprocessing.active_children()), threading.active_count()]))\n",
+        " len(forks) > 0, threading.active_count()]))\n",
         tmp_path,
         **({} if preset is None else dict.fromkeys(THREAD_VARS, preset)),
     )
-    runs, scipy_loaded, thread_vars, children, py_threads = result
-    # Neither run leaves a thread beyond the baseline: scipy's OpenBLAS
-    # loaded with one thread, whatever the preset, and the fit workers and
-    # the pool's threads end with the run. A fork can only lower the OS
-    # count: OpenBLAS stops its own threads before a fork and starts them
-    # again at its next threaded call.
+    runs, scipy_loaded, thread_vars, forked, py_threads = result
+    # Neither run leaves a thread beyond the baseline, read right after it:
+    # scipy's OpenBLAS loaded with one thread, whatever the preset, and a
+    # fit's workers are processes that end with the fit. A fork can only
+    # lower the OS count: OpenBLAS stops its own threads before a fork and
+    # starts them again at its next threaded call.
     assert runs == [[0, 0], [0, 0]] and scipy_loaded
-    assert [children, py_threads] == [0, 1]
+    assert [forked, py_threads] == [True, 1]
     # the load set the variables to 1 only while it ran
     assert thread_vars == [preset] * len(THREAD_VARS)
 

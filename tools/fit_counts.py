@@ -14,10 +14,10 @@ once per seed, and prints one Markdown table row per run and seed:
 
 The counts come from wrapping `gp._Likelihood.evaluate` and `.gradient`
 from outside the program; the winners' likelihoods are evaluated after
-each fit, outside the counts. Every optimizer start ascends in this
-process, with no fit worker, so that every evaluation is counted and the
-CPU time is the whole fit's. Traces do not depend on the worker, so the
-errors are those of a run with it.
+each fit, outside the counts. `gp.usable_cpus` is forced to 1, so every
+optimizer start ascends in this process, with no forked fit worker, and
+every evaluation is counted and the CPU time is the whole fit's. Traces do
+not depend on the CPU count, so the errors are those of any run.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from adaptive_fbl import gp, run_case, scenario_for_case, simulator  # noqa: E402
+from adaptive_fbl import gp, run_case, scenario_for_case  # noqa: E402
 from adaptive_fbl.gp import GpConfig  # noqa: E402
 
 WIDE_WINDOW = ("e", 0.01, 200)  # case, h, gp_window
@@ -70,14 +70,14 @@ def counting():
         counts.lml += evaluate(gp._Likelihood(model.inputs, model.targets), model.hyper).value
         return model
 
-    saved_workers = simulator.fit_workers
+    usable_cpus = gp.usable_cpus
     gp._Likelihood.evaluate, gp._Likelihood.gradient, gp.GpModel.fit = counted_evaluate, counted_gradient, timed_fit
-    simulator.fit_workers = lambda starts: None
+    gp.usable_cpus = lambda: 1
     try:
         yield counts
     finally:
         gp._Likelihood.evaluate, gp._Likelihood.gradient, gp.GpModel.fit = evaluate, gradient, fit
-        simulator.fit_workers = saved_workers
+        gp.usable_cpus = usable_cpus
 
 
 def measure(case: str, h: float, window: int, seed: int):
