@@ -2,7 +2,7 @@
 line-oriented metrics report.
 
 Config files are `key = value` lines; values are JSON literals (numbers,
-booleans, lists) with bare words accepted as strings. Unknown keys are
+lists, null) with bare words accepted as strings. Unknown keys are
 rejected. Every run writes one CSV per case plus report.txt, and the
 report embeds the fully resolved configuration so a run can be
 reproduced from the report alone. Each case's CSV is streamed by
@@ -55,7 +55,6 @@ class RunConfig:
     rho: float = ControllerConfig.rho
     Q: list[list[float]] | None = ControllerConfig.q
     R: float = ControllerConfig.r
-    rob_enabled: bool = ControllerConfig.rob_enabled
     gamma_w: float = LearnerConfig.gamma_w
     stack_capacity: int = LearnerConfig.stack_capacity
     record_period: float = LearnerConfig.record_period
@@ -81,7 +80,6 @@ class RunConfig:
                 rho=self.rho,
                 q=None if self.Q is None else np.asarray(self.Q, dtype=float),
                 r=self.R,
-                rob_enabled=self.rob_enabled,
             )
         except ValueError as exc:
             raise OutOfRangeError(str(exc)) from None
@@ -149,15 +147,6 @@ def _positive_int(name, minimum=1):
     return check
 
 
-def _boolean(name):
-    def check(v):
-        if not isinstance(v, bool):
-            raise OutOfRangeError(f"{name} must be true or false, got {v!r}")
-        return v
-
-    return check
-
-
 def _cases(v):
     if isinstance(v, str):
         v = [c.strip() for c in v.split(",") if c.strip()]
@@ -211,7 +200,6 @@ _KEYS = {
     "rho": _positive("rho"),
     "Q": _matrix("Q"),
     "R": _non_negative("R"),
-    "rob_enabled": _boolean("rob_enabled"),
     "gamma_w": _positive("gamma_w"),
     "stack_capacity": _positive_int("stack_capacity"),
     "record_period": _positive("record_period"),

@@ -95,46 +95,27 @@ class HistoryStack:
         self.capacity = capacity
         self.records: list[Record] = []
         self.min_singular_value = 0.0
-        # derived from records by _rebuild; _phi_matrix = None marks them stale
-        self._phi_matrix: np.ndarray | None = None
-        self._gram: list[list[float]] = []
-        self._phi_rhs: list[float] = []
+        self._rebuild()
 
     def __len__(self) -> int:
         return len(self.records)
 
-    @property
-    def phi_matrix(self) -> np.ndarray:
-        """Stored regressors as columns, shape (m, len(stack))."""
-        if self._phi_matrix is None:
-            self._rebuild()
-        return self._phi_matrix
-
-    @property
-    def gram(self) -> list[list[float]]:
-        """Rows of the Gram matrix sum_j phi_j phi_j.T (empty for an empty stack)."""
-        if self._phi_matrix is None:
-            self._rebuild()
-        return self._gram
-
-    @property
-    def phi_rhs(self) -> list[float]:
-        """sum_j phi_j (xdot_n_j - u_j), so that sum_j phi_j eps_j = gram w - phi_rhs."""
-        if self._phi_matrix is None:
-            self._rebuild()
-        return self._phi_rhs
-
     def _rebuild(self):
+        """Derive the records' matrices, once per stored record: phi_matrix,
+        the stored regressors as columns, shape (m, len(stack)); gram, the
+        rows of the Gram matrix sum_j phi_j phi_j.T; and phi_rhs, sum_j
+        phi_j (xdot_n_j - u_j), so that sum_j phi_j eps_j = gram w -
+        phi_rhs. gram and phi_rhs are empty for an empty stack."""
         if self.records:
-            self._phi_matrix = np.stack([r.phi for r in self.records], axis=1)
+            self.phi_matrix = np.stack([r.phi for r in self.records], axis=1)
             # xdot_n_j - u_j is the recorded value of w* . phi_j
             residual_rhs = np.array([r.xdot_n - r.u for r in self.records])
-            self._gram = (self._phi_matrix @ self._phi_matrix.T).tolist()
-            self._phi_rhs = (self._phi_matrix @ residual_rhs).tolist()
+            self.gram = (self.phi_matrix @ self.phi_matrix.T).tolist()
+            self.phi_rhs = (self.phi_matrix @ residual_rhs).tolist()
         else:
-            self._phi_matrix = np.zeros((0, 0))
-            self._gram = []
-            self._phi_rhs = []
+            self.phi_matrix = np.zeros((0, 0))
+            self.gram = []
+            self.phi_rhs = []
 
     def try_record(self, phi: Sequence[float], xdot_n: float, u: float) -> bool:
         """Offer a candidate record; returns True if it was stored.
@@ -149,7 +130,7 @@ class HistoryStack:
         rec = Record(phi, float(xdot_n), float(u))
         if len(self.records) < self.capacity:
             self.records.append(rec)
-            self._phi_matrix = None
+            self._rebuild()
             self.min_singular_value = stack_sigma_min(self.phi_matrix)
             return True
 
@@ -174,7 +155,7 @@ class HistoryStack:
         if best_j < 0:
             return False
         self.records[best_j] = rec
-        self._phi_matrix = None
+        self._rebuild()
         self.min_singular_value = best_quality[1]
         return True
 

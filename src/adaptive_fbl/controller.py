@@ -29,7 +29,7 @@ from .plant import integrator_chain
 
 @dataclass
 class ControllerConfig:
-    """Gains and switches for the control law.
+    """Gains for the control law; m = 0 turns the robustness term off.
 
     gains is the error-feedback row vector, stored as a tuple of floats;
     its length fixes the system order. q and r weight the matrix equation
@@ -41,7 +41,6 @@ class ControllerConfig:
     rho: float = 0.01
     q: np.ndarray | None = None
     r: float = 0.01
-    rob_enabled: bool = True
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=float)
@@ -97,7 +96,7 @@ def weighting_matrix(cfg: ControllerConfig) -> np.ndarray:
     return cfg.q + cfg.r * np.outer(cfg.gains, cfg.gains)
 
 
-def law_source(n: int, m: int, rob_enabled: bool) -> list[str]:
+def law_source(n: int, m: int) -> list[str]:
     """The control law as lines of Python source, the one definition of it.
 
     The lines read the weights w1..wm, the regressor f1..fm, the errors
@@ -106,28 +105,23 @@ def law_source(n: int, m: int, rob_enabled: bool) -> list[str]:
     row p1..pn, m_rob and rho. They assign the ControlBreakdown fields
     u_fbl, u_sfb, u_rob and u_total. The robustness term is the
     boundary-layer saturation of s = b.T P e, whose magnitude never
-    exceeds the gain; the integrator chain's b picks P's last row.
+    exceeds the gain m_rob, so m_rob = 0 turns it off; the integrator
+    chain's b picks P's last row.
     """
     w, f, e = symbols("w", m), symbols("f", m), symbols("e", n)
-    lines = [
+    return [
         f"u_fbl = -({dot_source(w, f)})",
         f"u_sfb = {dot_source(symbols('gain', n), e)}",
+        f"s = {dot_source(symbols('p', n), e)}",
+        "if abs(s) > rho:",
+        "    u_rob = -m_rob if s > 0 else m_rob",
+        "else:",
+        "    u_rob = -m_rob * s / rho",
+        "u_total = u_fbl + u_sfb + u_ref - u_gp - u_rob",
     ]
-    if rob_enabled:
-        lines += [
-            f"s = {dot_source(symbols('p', n), e)}",
-            "if abs(s) > rho:",
-            "    u_rob = -m_rob if s > 0 else m_rob",
-            "else:",
-            "    u_rob = -m_rob * s / rho",
-        ]
-    else:
-        lines.append("u_rob = 0.0")
-    lines.append("u_total = u_fbl + u_sfb + u_ref - u_gp - u_rob")
-    return lines
 
 
-def _law_function(n: int, m: int, rob_enabled: bool) -> str:
+def _law_function(n: int, m: int) -> str:
     """Source of law(gains, p_last, m_rob, rho, w, phi, e, u_ref, u_gp),
     which returns the ControlBreakdown fields."""
     return function_source(
@@ -138,7 +132,7 @@ def _law_function(n: int, m: int, rob_enabled: bool) -> str:
             f"{tuple_source(symbols('w', m))} = w",
             f"{tuple_source(symbols('f', m))} = phi",
             f"{tuple_source(symbols('e', n))} = e",
-            *law_source(n, m, rob_enabled),
+            *law_source(n, m),
             "return u_fbl, u_sfb, u_ref, u_gp, u_rob, u_total",
         ],
     )
@@ -156,6 +150,5 @@ def compute_control(
     """One evaluation of `law_source`'s control law as a ControlBreakdown.
     p is P as rows; a numpy matrix works too."""
     n, m = cfg.order, len(w)
-    name = f"<control law n={n} m={m}{' rob' if cfg.rob_enabled else ''}>"
-    law = compiled(name, lambda: _law_function(n, m, cfg.rob_enabled))["law"]
+    law = compiled(f"<control law n={n} m={m}>", lambda: _law_function(n, m))["law"]
     return ControlBreakdown(*law(cfg.gains, p[-1], cfg.m, cfg.rho, w, phi, e, xdot_n_ref, gp_mean))

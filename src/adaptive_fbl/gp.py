@@ -407,10 +407,6 @@ class GpModel:
         self._snap_chol: np.ndarray | None = None
         self._snap_alpha: np.ndarray | None = None
 
-    @classmethod
-    def from_config(cls, cfg: GpConfig, seed: int = 0) -> "GpModel":
-        return cls(window=cfg.window, starts=cfg.starts, seed=seed)
-
     def __len__(self) -> int:
         return len(self._targets)
 

@@ -68,7 +68,7 @@ from .controller import (
 )
 from .errors import NonFiniteValueError, StateEscapeError, TraceWriteError
 from .gp import REFIT_PERIOD, SAMPLE_PERIOD, GpConfig, GpModel, training_target
-from .numerics import compiled, dot, dot_source, fork_child, function_source, quad_form, reap_child, require_finite
+from .numerics import compiled, dot, fork_child, function_source, quad_form, reap_child, require_finite
 from .numerics import symbols, tuple_source
 from .numerics import rk4_step  # noqa: F401
 from .plant import (
@@ -514,7 +514,6 @@ def step_kernel(
     *,
     learning: bool,
     disturbed: bool,
-    compensation: str | None = None,
     gamma: float = 0.0,
     stack: HistoryStack | None = None,
     predict: Callable | None = None,
@@ -522,18 +521,17 @@ def step_kernel(
 ) -> StepKernel:
     """The closed loop of one stage as a StepKernel bound to its constants.
 
-    compensation is None (u_gp = 0), "gp" (the GP's predict on rows and
-    predict_mean in stages) or "oracle" (the exact residual d - (w - w*) .
-    phi). A step that learns needs gamma and the record stack, whose Gram
-    rows are bound as they are now; a step that does not learn binds w.
-    The source is compiled once per (n, m, flags, rob_enabled, empty or
-    filled stack), under a file name that tracebacks show.
+    Given predict and predict_mean, the kernel compensates with the GP:
+    predict on rows, predict_mean in stages; without them u_gp = 0. A step
+    that learns needs gamma and the record stack, whose Gram rows are
+    bound as they are now; a step that does not learn binds w. The source
+    is compiled once per (n, m, learning, disturbed, gp, empty or filled
+    stack), under a file name that tracebacks show.
     """
     n, m = cfg.order, len(w)
     filled = learning and len(stack) > 0
-    key = (n, m, learning, disturbed, compensation, cfg.rob_enabled, filled)
-    words = ("learning", "disturbed", compensation, "rob", "filled")
-    words = [word for word, on in zip(words, key[2:]) if on]
+    key = (n, m, learning, disturbed, predict is not None, filled)
+    words = [word for word, on in zip(("learning", "disturbed", "gp", "filled"), key[2:]) if on]
     name = f"<step kernel n={n} m={m} {' '.join(words)}>"
     bind = compiled(name, lambda: _kernel_source(*key))["bind"]
     gram, phi_rhs = (stack.gram, stack.phi_rhs) if filled else ((), ())
@@ -546,7 +544,7 @@ def step_kernel(
     )
 
 
-def _kernel_source(n, m, learning, disturbed, compensation, rob_enabled, filled) -> str:
+def _kernel_source(n, m, learning, disturbed, gp, filled) -> str:
     """Source of bind(...), which returns StepKernel's four functions: the
     controller's law, the plant's chain and concurrent learning's update
     law, each from its module, on the scalars x1..xn, w1..wm, f1..fm."""
@@ -555,7 +553,7 @@ def _kernel_source(n, m, learning, disturbed, compensation, rob_enabled, filled)
     chain, xdot = chain_source(n, m)
     update, wdot = update_source(n, m, filled) if learning else ([], [])
     z, zdot = (x + w, xdot + wdot) if learning else (x, xdot)
-    law_and_chain = [*law_source(n, m, rob_enabled), *chain]
+    law_and_chain = [*law_source(n, m), *chain]
 
     def inputs(row: bool) -> list[str]:
         """The reference, the errors, phi, d and u_gp (and gp_var on a row) at (t, x)."""
@@ -567,18 +565,14 @@ def _kernel_source(n, m, learning, disturbed, compensation, rob_enabled, filled)
             f"{tuple_source(f)} = phi",
             "d = disturbance(t, x)" if disturbed else "d = 0.0",
         ]
-        if compensation == "gp":
+        if gp:
             lines.append("u_gp, gp_var = predict(x)" if row else "u_gp = predict_mean(x)")
-        elif compensation == "oracle":
-            lines.append(f"u_gp = d - ({dot_source([f'({wj} - ws{j})' for j, wj in enumerate(w, 1)], f)})")
         else:
-            lines.append("u_gp = 0.0")
-        if row and compensation != "gp":
-            lines.append("gp_var = 0.0")
+            lines.append("u_gp, gp_var = 0.0, 0.0" if row else "u_gp = 0.0")
         return lines
 
     cells = ["t", *x, *ref, *e, "u_fbl", "u_sfb", "u_ref", "u_gp", "u_rob", "u_total", *w]
-    cells += ["u_gp", "gp_var", "d", "-u_fbl + u_total + u_gp - xd"]  # the last is the bracket
+    cells += ["gp_var", "d", "-u_fbl + u_total + u_gp - xd"]  # the last is the bracket
     row = function_source(
         "row(t, x, w)",
         [
@@ -652,17 +646,15 @@ def run_case(
     seed: int = 0,
     plant: Plant | None = None,
     reference: ReferenceModel | None = None,
-    oracle_gp: bool = False,
     csv_path=None,
 ) -> tuple[Trace, Metrics]:
     """Simulate one case and return its trace and metrics.
 
     Deterministic for a fixed (scenario, configs, seed): the seed only
     feeds the GP hyperparameter optimizer starts. The GP samples and refits
-    on gp.SAMPLE_PERIOD and gp.REFIT_PERIOD. oracle_gp replaces the
-    GP compensation with the exact residual (testing hook). The measured
-    state derivative used for records, GP targets, and the monitor is the
-    exact plant evaluation.
+    on gp.SAMPLE_PERIOD and gp.REFIT_PERIOD, and compensates on stage-3
+    steps once fitted. The measured state derivative used for records, GP
+    targets, and the monitor is the exact plant evaluation.
 
     After each step the new (x, w) must be finite with every |x_i| <=
     STATE_ESCAPE_LIMIT, else StateEscapeError (finite) or NonFiniteValueError
@@ -710,15 +702,16 @@ def run_case(
     refit_every = max(1, int(round(REFIT_PERIOD / h)))
 
     stack = HistoryStack(learner.stack_capacity)
-    model = GpModel.from_config(gp_cfg, seed=seed) if scenario.gp_enabled and not oracle_gp else None
+    model = GpModel(window=gp_cfg.window, starts=gp_cfg.starts, seed=seed) if scenario.gp_enabled else None
 
     rows = n_steps + 1
     # Row i of the run, stored with one assignment: t, x, x_ref, e, the
-    # ControlBreakdown fields in their order, w, and gp_mean, gp_var,
-    # d_true and the row's bracket for the monitor. The trace's float
-    # columns are views of this buffer, never copies of it. The buffer is
-    # a shared mapping, so a forked CSV writer sees each row once stored.
-    widths = [1, n, n, n, len(ControlBreakdown._fields), m_dim, 4]
+    # ControlBreakdown fields in their order, w, and gp_var, d_true and
+    # the row's bracket for the monitor; gp_mean is the u_gp column. The
+    # trace's float columns are views of this buffer, never copies of it.
+    # The buffer is a shared mapping, so a forked CSV writer sees each row
+    # once stored.
+    widths = [1, n, n, n, len(ControlBreakdown._fields), m_dim, 3]
     splits = np.cumsum(widths[:-1])
     buf = np.frombuffer(mmap.mmap(-1, rows * sum(widths) * 8)).reshape(rows, sum(widths))
 
@@ -731,7 +724,7 @@ def run_case(
             buf[start:stop], splits, axis=1
         )
         u_fbl, u_sfb, u_ref, u_gp, u_rob, u_total = bd_cols.T
-        gp_mean, gp_var, d_true, bracket = rest.T
+        gp_var, d_true, bracket = rest.T
         v, vdot = lyapunov_monitor(p_rows, s_rows, e_col, bracket, u_rob)
         i = np.arange(start, stop)
         return Trace(
@@ -752,7 +745,7 @@ def run_case(
             u_gp=u_gp,
             u_rob=u_rob,
             w=w_col,
-            gp_mean=gp_mean,
+            gp_mean=u_gp,
             gp_var=gp_var,
             d_true=d_true,
             v=v,
@@ -764,15 +757,14 @@ def run_case(
     w = w0.tolist()
     check_regressor_shape(plant, x)
     check_reference_shape(reference, n)
-    predict, predict_mean = (None, None) if model is None else (model.predict, model.predict_mean)
 
     def bind(flags, w):
         """The kernel of a step with these flags, on the stack as it is now."""
-        learning, disturbed, compensation = flags
+        learning, disturbed, gp = flags
         return step_kernel(
             cfg, p_rows[-1], plant, reference, h, w,
-            learning=learning, disturbed=disturbed, compensation=compensation,
-            gamma=learner.gamma_w, stack=stack, predict=predict, predict_mean=predict_mean,
+            learning=learning, disturbed=disturbed, gamma=learner.gamma_w, stack=stack,
+            predict=model.predict if gp else None, predict_mean=model.predict_mean if gp else None,
         )
 
     writer = _CsvWriter(csv_path, rows, trace_of) if csv_path is not None and hasattr(os, "fork") else None
@@ -790,10 +782,8 @@ def run_case(
             if model is not None and stage == 3 and (i - i2) % refit_every == 0 and len(model) >= 2:
                 model.fit()
 
-            compensation = None
-            if scenario.gp_enabled and stage == 3:
-                compensation = "oracle" if oracle_gp else ("gp" if model.fitted else None)
-            flags = (learning, scenario.disturbed and stage > 1, compensation)
+            gp = model is not None and stage == 3 and model.fitted
+            flags = (learning, scenario.disturbed and stage > 1, gp)
             if flags != bound:
                 row, rate, _, step = bind(flags, w)
                 bound = flags

@@ -198,7 +198,7 @@ def test_c08_likelihood_gradient():
 
 def test_c09_linear_closed_loop_equivalence():
     scn = scenario_for_case("a", duration=5.0, w0=W_STAR.copy())
-    cfg = ControllerConfig(gains=np.array([20.0, 20.0]), rob_enabled=False)
+    cfg = ControllerConfig(gains=np.array([20.0, 20.0]), m=0.0)
     trace, _ = run_case(scn, cfg=cfg)
     a, b = integrator_chain(2)
     a_cl = a - np.outer(b, cfg.gains)

@@ -158,12 +158,6 @@ class TestParseConfig:
         cfg = parse_config("Q = [[2, 0], [0, 2]]")
         assert cfg.Q == [[2.0, 0.0], [0.0, 2.0]]
 
-    def test_boolean_value(self):
-        cfg = parse_config("rob_enabled = false")
-        assert cfg.rob_enabled is False
-        with pytest.raises(OutOfRangeError):
-            parse_config("rob_enabled = 0")
-
     def test_readme_config_table_lists_every_key(self):
         """The backticked keys in the first column of the README's config
         table (bracketed defaults aside) are exactly the parser's keys."""
@@ -371,6 +365,7 @@ class TestMain:
             pytest.param("gp_sample_period = 0.1", id="gp_sample_period"),
             pytest.param("gp_refit_period = 0.5", id="gp_refit_period"),
             pytest.param("gp_sigma_n_floor = 1e-4", id="gp_sigma_n_floor"),
+            pytest.param("rob_enabled = true", id="rob_enabled"),
         ],
     )
     def test_deleted_option_exits_2_before_any_case(self, tmp_path, capsys, text):

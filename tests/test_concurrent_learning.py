@@ -258,7 +258,7 @@ class TestExponentialConvergence:
         # rebuild records against the true weights so eps_j = (w - w*).phi_j
         for j, rec in enumerate(list(stack.records)):
             stack.records[j] = record_from_truth(rec.phi, u=0.0)
-        stack._phi_matrix = None
+        stack._rebuild()
 
         gamma = 3.0
         gram = stack.phi_matrix @ stack.phi_matrix.T

@@ -76,7 +76,7 @@ class TestRobustnessTerm:
 
 class TestComputeControl:
     def test_pure_model_cancellation(self):
-        cfg = benchmark_cfg(rob_enabled=False)
+        cfg = benchmark_cfg(m=0.0)
         p = compute_P(cfg)
         bd = compute_control(
             cfg, p, W_STAR, np.array([0.0, 0.0, 1.0]), np.zeros(2), 0.0, gp_mean=0.0
@@ -123,8 +123,8 @@ class TestComputeControl:
             )
             assert bd.u_total == bd.u_fbl + bd.u_sfb + bd.u_ref - bd.u_gp - bd.u_rob
 
-    def test_rob_disabled_means_zero(self):
-        cfg = benchmark_cfg(rob_enabled=False)
+    def test_zero_gain_turns_the_robustness_term_off(self):
+        cfg = benchmark_cfg(m=0.0)
         p = compute_P(cfg)
         bd = compute_control(cfg, p, W_STAR, np.ones(3), np.ones(2), 0.0)
         assert bd.u_rob == 0.0

@@ -1,4 +1,4 @@
-"""Guard against helpers in the package that no package code uses."""
+"""Guard against helpers and imports in the package that no package code uses."""
 
 import ast
 from pathlib import Path
@@ -17,14 +17,17 @@ ALLOWED_UNREFERENCED = {
 }
 
 
+def modules():
+    """(path, parsed tree) of each module of src/adaptive_fbl bar __init__.py."""
+    paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+
 def definitions_and_references():
     """(qualified name, bare name) of every module-level function or class
     and every public method, and the set of names the modules reference."""
     defined, referenced = [], set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for _, tree in modules():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((node.name, node.name))
@@ -61,3 +64,24 @@ def test_every_definition_is_used_by_the_package():
 def test_allowlist_names_existing_definitions():
     defined, _ = definitions_and_references()
     assert ALLOWED_UNREFERENCED <= {qualified for qualified, _ in defined}
+
+
+def test_every_module_level_import_is_used_by_its_module():
+    """Each name a module of src/adaptive_fbl (bar __init__.py) imports at
+    module level is named in that module, unless its line or the import
+    statement's first line carries `# noqa: F401` (imported for others to
+    read or patch there)."""
+    unused = []
+    for path, tree in modules():
+        lines = path.read_text().splitlines()
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in imports:
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                marked = any("# noqa: F401" in lines[i - 1] for i in (node.lineno, alias.lineno))
+                if name not in named and not marked:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert unused == [], f"imported but never named in the module: {unused}"

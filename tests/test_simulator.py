@@ -65,11 +65,13 @@ class TestScenario:
             scenario_for_case("f")
 
     def test_flag_contradiction_rejected(self):
-        """The case flags live on the scenario alone, and the robustness
-        switch on the controller alone, so no second copy can contradict
-        them."""
+        """The case flags live on the scenario alone, so no second copy can
+        contradict them, and the robustness term has no switch but its
+        gain m."""
         with pytest.raises(TypeError):
             ControllerConfig(gp_enabled=False)
+        with pytest.raises(TypeError):
+            ControllerConfig(rob_enabled=False)
         with pytest.raises(TypeError):
             LearnerConfig(cl_enabled=False)
         with pytest.raises(TypeError):
@@ -207,6 +209,41 @@ class TestStageGating:
             np.testing.assert_allclose(tr.w[0], [0.5, -1.3, 0.75])
 
 
+class OracleGp:
+    """Stand-in for simulator.GpModel on the benchmark plant that learns the
+    exact residual. Its targets are d(x) - (w - w*) . phi(x), so its fit
+    solves w - w* by least squares from the targets minus d(x), and its
+    mean is d(x) - (w - w*) . phi(x) at the solved weights, with no
+    variance."""
+
+    def __init__(self, **settings):
+        self.plant = benchmark_plant()
+        self.inputs, self.targets = [], []
+        self.fitted = False
+
+    def __len__(self):
+        return len(self.targets)
+
+    def observe(self, x, y):
+        self.inputs.append(list(x))
+        self.targets.append(y)
+
+    def d(self, x):
+        return self.plant.disturbance(0.0, x)
+
+    def fit(self):
+        phi = np.array([self.plant.regressor(x) for x in self.inputs])
+        d = np.array([self.d(x) for x in self.inputs])
+        self.w_err = np.linalg.lstsq(phi, d - np.array(self.targets), rcond=None)[0]
+        self.fitted = True
+
+    def predict_mean(self, x):
+        return self.d(x) - float(self.w_err @ np.asarray(self.plant.regressor(x)))
+
+    def predict(self, x):
+        return self.predict_mean(x), 0.0
+
+
 def assert_stage_clock(tr, scn):
     """Stage column, disturbance, learning and compensation all switch on
     the rows (i1, i2) = stage_rows(t1, t2, h)."""
@@ -259,7 +296,9 @@ class TestStageClock:
     def test_gates_switch_at_stage_rows(self, h, t1, gap, duration):
         for cid in ("c", "d", "e"):
             scn = scenario_for_case(cid, h=h, t1=t1, t2=t1 + gap, duration=duration)
-            tr, _ = run_case(scn, oracle_gp=scn.gp_enabled)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulator, "GpModel", OracleGp)
+                tr, _ = run_case(scn)
             assert_stage_clock(tr, scn)
             _, i2 = stage_rows(scn.t1, scn.t2, h)
             if scn.gp_enabled and i2 < tr.n_rows:
@@ -293,7 +332,7 @@ def linear_loop_error(duration, h=1e-3):
     no disturbance, and no extra terms, so the tracking error follows the
     pure linear error system."""
     scn = scenario_for_case("a", duration=duration, h=h, w0=W_STAR.copy())
-    cfg = ControllerConfig(gains=np.array([20.0, 20.0]), rob_enabled=False)
+    cfg = ControllerConfig(gains=np.array([20.0, 20.0]), m=0.0)
     trace, _ = run_case(scn, cfg=cfg)
     a, b = integrator_chain(2)
     a_cl = a - np.outer(b, cfg.gains)
@@ -564,10 +603,11 @@ class TestDeterminism:
 
 
 class TestOracleInjection:
-    def test_perfect_compensation_bounds_the_gp_case(self, case_runs):
-        """Forcing the compensation to the exact residual bounds what the
-        learned model can achieve."""
-        tr, metrics = run_case(scenario_for_case("e"), oracle_gp=True)
+    def test_perfect_compensation_bounds_the_gp_case(self, case_runs, monkeypatch):
+        """Compensating with the exact residual bounds what the learned
+        model can achieve."""
+        monkeypatch.setattr(simulator, "GpModel", OracleGp)
+        tr, metrics = run_case(scenario_for_case("e"))
         b_stage1 = case_runs["b"][1].stage_error_pct[0]
         assert metrics.stage_error_pct[2] <= 1.1 * b_stage1
 

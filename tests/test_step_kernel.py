@@ -9,7 +9,7 @@ derivative, its RK4 step, and its row's k1.
 import inspect
 import math
 import traceback
-from operator import mul, sub
+from operator import mul
 
 import numpy as np
 from hypothesis import given, settings
@@ -49,7 +49,7 @@ def gp_predict(x):
 
 def reference_loop(cfg, p_last, plant, reference, w_bound, flags, gamma, stack):
     """The closed loop f(t, z), z = x + w on a step that learns, else x."""
-    learning, disturbed, compensation = flags
+    learning, disturbed, gp = flags
     n, w_star = plant.order, plant.ideal_weights.tolist()
 
     def f(t, z):
@@ -58,13 +58,7 @@ def reference_loop(cfg, p_last, plant, reference, w_bound, flags, gamma, stack):
         e = [ri - xi for ri, xi in zip(x_ref, x)]
         phi = plant.regressor(x)
         d = plant.disturbance(t, x) if disturbed else 0.0
-        if compensation == "gp":
-            g = gp_mean(x)
-        elif compensation == "oracle":
-            g = d - sum(map(mul, map(sub, w, w_star), phi))
-        else:
-            g = 0.0
-        u = compute_control(cfg, [p_last], w, phi, e, u_ref, g).u_total
+        u = compute_control(cfg, [p_last], w, phi, e, u_ref, gp_mean(x) if gp else 0.0).u_total
         xdot = [*x[1:], sum(map(mul, w_star, phi)) + u + d]
         if learning:
             return xdot + weight_update_derivative(gamma, stack, w, phi, e, [p_last])
@@ -83,15 +77,14 @@ finite = st.floats(-1.5, 1.5)
     data=st.data(),
     learning=st.booleans(),
     disturbed=st.booleans(),
-    compensation=st.sampled_from([None, "gp", "oracle"]),
-    rob_enabled=st.booleans(),
+    gp=st.booleans(),
     records=st.integers(0, 4),
     container=st.sampled_from(sorted(CONTAINERS)),
     t=st.floats(0.0, 30.0),
     h=st.floats(1e-3, 0.05),
 )
 def test_kernel_matches_rk4_over_the_reference_loop(
-    n, m, data, learning, disturbed, compensation, rob_enabled, records, container, t, h
+    n, m, data, learning, disturbed, gp, records, container, t, h
 ):
     def vector(size, elements=finite):
         return data.draw(st.lists(elements, min_size=size, max_size=size))
@@ -100,7 +93,6 @@ def test_kernel_matches_rk4_over_the_reference_loop(
         gains=vector(n, st.floats(0.5, 30.0)),
         m=data.draw(st.floats(0.0, 2.0)),
         rho=data.draw(st.floats(1e-3, 0.5)),
-        rob_enabled=rob_enabled,
     )
     p_last = vector(n, st.floats(0.01, 2.0))
     coeffs = [tuple(vector(2)) for _ in range(m)]
@@ -119,10 +111,10 @@ def test_kernel_matches_rk4_over_the_reference_loop(
 
     kernel = step_kernel(
         cfg, p_last, plant, reference, h, w,
-        learning=learning, disturbed=disturbed, compensation=compensation,
-        gamma=gamma, stack=stack, predict=gp_predict, predict_mean=gp_mean,
+        learning=learning, disturbed=disturbed, gamma=gamma, stack=stack,
+        predict=gp_predict if gp else None, predict_mean=gp_mean if gp else None,
     )
-    f = reference_loop(cfg, p_last, plant, reference, w, (learning, disturbed, compensation), gamma, stack)
+    f = reference_loop(cfg, p_last, plant, reference, w, (learning, disturbed, gp), gamma, stack)
     z = x + w if learning else x
 
     expected_k1 = f(t, z)
@@ -152,7 +144,7 @@ def test_a_kernel_shows_its_source():
         cfg, [0.5, 0.1], plant, sine_reference(), 0.01, [0.0], learning=True, disturbed=False,
         gamma=1.0, stack=HistoryStack(1),
     )
-    assert kernel.step.__code__.co_filename == "<step kernel n=2 m=1 learning rob>"
+    assert kernel.step.__code__.co_filename == "<step kernel n=2 m=1 learning>"
     source = inspect.getsource(kernel.derivative)
     assert source.startswith("    def derivative(t, x1, x2, w1):")
     assert "xd = 0.0 + ws1 * f1 + u_total + d" in source
@@ -160,5 +152,5 @@ def test_a_kernel_shows_its_source():
         kernel.derivative(0.0, 2.0, 0.0, 0.0)
     except ArithmeticError:
         shown = traceback.format_exc()
-    assert 'File "<step kernel n=2 m=1 learning rob>", line' in shown
+    assert 'File "<step kernel n=2 m=1 learning>", line' in shown
     assert "phi = regressor(x)" in shown
