@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import compiled, dot_source, function_source, require_finite, symbols, tuple_source
+from .numerics import compiled, dot_source, function_source, require_count, require_finite, symbols, tuple_source
 
 
 class Record(NamedTuple):
@@ -48,38 +48,21 @@ class LearnerConfig:
         require_finite(self, "gamma_w", "stack_capacity", "record_period")
         if self.gamma_w <= 0:
             raise ValueError("gamma_w must be positive")
-        if self.stack_capacity < 1:
-            raise ValueError("stack_capacity must be >= 1")
+        require_count("stack_capacity", self.stack_capacity, 1)
         if self.record_period <= 0:
             raise ValueError("record_period must be positive")
 
 
-def stack_sigma_min(phi_matrix: np.ndarray) -> float:
-    """Smallest singular value of the stacked regressors, as a map onto
-    weight space: zero until the columns span all of it."""
-    return _stack_metrics(phi_matrix)[0][1]
-
-
-def _stack_metrics(phi_matrix: np.ndarray) -> tuple[tuple[int, float], float]:
-    """((rank, sigma_min), tol) of the stacked regressor matrix, where
-    singular values at or below tol count as zero.
+def _qualities(sv: np.ndarray, m: int, tol: float) -> list[tuple[int, float]]:
+    """(rank, sigma_min) of each of a batch of matrices with m rows, from
+    their singular values, one descending row per matrix, with rank
+    counted against one tolerance for the whole batch.
 
     sigma_min is the m-th singular value (zero while rank < m), so it is
     exactly the square root of the smallest eigenvalue of sum phi_j phi_j.T.
     Replacement quality compares rank first: building span dominates
     polishing the already-spanned directions.
     """
-    sv = np.linalg.svd(phi_matrix, compute_uv=False)
-    tol = max(phi_matrix.shape) * np.finfo(float).eps * sv[0] if sv.size else 0.0
-    return _qualities(sv[None], phi_matrix.shape[0], tol)[0], tol
-
-
-def _qualities(sv: np.ndarray, m: int, tol: float) -> list[tuple[int, float]]:
-    """(rank, sigma_min) of each of a batch of matrices with m rows, from
-    their singular values, one descending row per matrix, with rank
-    counted against one tolerance for the whole batch."""
-    if sv.shape[1] == 0:
-        return [(0, 0.0)] * sv.shape[0]
     ranks = np.sum(sv > tol, axis=1)
     # below full rank the last singular value is rounding under the tolerance
     sigmas = np.where(ranks == m, sv[:, -1], 0.0)
@@ -87,35 +70,45 @@ def _qualities(sv: np.ndarray, m: int, tol: float) -> list[tuple[int, float]]:
 
 
 class HistoryStack:
-    """Bounded store of (phi, xdot_n, u) records with rank-seeking replacement."""
+    """Bounded store of (phi, xdot_n, u) records with rank-seeking replacement.
+
+    Each stored record derives the stack's matrices and score (`_rebuild`),
+    which exist once a record is stored; `sums` gives the update law's
+    record sums for the empty stack too.
+    """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        require_count("capacity", capacity, 1)
         self.capacity = capacity
         self.records: list[Record] = []
         self.min_singular_value = 0.0
-        self._rebuild()
 
     def __len__(self) -> int:
         return len(self.records)
 
     def _rebuild(self):
-        """Derive the records' matrices, once per stored record: phi_matrix,
-        the stored regressors as columns, shape (m, len(stack)); gram, the
-        rows of the Gram matrix sum_j phi_j phi_j.T; and phi_rhs, sum_j
-        phi_j (xdot_n_j - u_j), so that sum_j phi_j eps_j = gram w -
-        phi_rhs. gram and phi_rhs are empty for an empty stack."""
+        """Derive the records' matrices and score, once per stored record:
+        phi_matrix, the stored regressors as columns, shape (m, len(stack));
+        gram, the rows of the Gram matrix sum_j phi_j phi_j.T; phi_rhs,
+        sum_j phi_j (xdot_n_j - u_j), so that sum_j phi_j eps_j = gram w -
+        phi_rhs; and the stack's (rank, sigma_min) with the tolerance under
+        which a singular value counts as zero."""
+        self.phi_matrix = np.stack([r.phi for r in self.records], axis=1)
+        # xdot_n_j - u_j is the recorded value of w* . phi_j
+        residual_rhs = np.array([r.xdot_n - r.u for r in self.records])
+        self.gram = (self.phi_matrix @ self.phi_matrix.T).tolist()
+        self.phi_rhs = (self.phi_matrix @ residual_rhs).tolist()
+        sv = np.linalg.svd(self.phi_matrix, compute_uv=False)
+        self._tol = max(self.phi_matrix.shape) * np.finfo(float).eps * sv[0]
+        self._quality = _qualities(sv[None], self.phi_matrix.shape[0], self._tol)[0]
+        self.min_singular_value = self._quality[1]
+
+    def sums(self, m: int) -> tuple[list[list[float]], list[float]]:
+        """(gram, phi_rhs) for weights of m entries: an empty stack
+        contributes m rows of m zeros and m zeros."""
         if self.records:
-            self.phi_matrix = np.stack([r.phi for r in self.records], axis=1)
-            # xdot_n_j - u_j is the recorded value of w* . phi_j
-            residual_rhs = np.array([r.xdot_n - r.u for r in self.records])
-            self.gram = (self.phi_matrix @ self.phi_matrix.T).tolist()
-            self.phi_rhs = (self.phi_matrix @ residual_rhs).tolist()
-        else:
-            self.phi_matrix = np.zeros((0, 0))
-            self.gram = []
-            self.phi_rhs = []
+            return self.gram, self.phi_rhs
+        return [[0.0] * m] * m, [0.0] * m
 
     def try_record(self, phi: Sequence[float], xdot_n: float, u: float) -> bool:
         """Offer a candidate record; returns True if it was stored.
@@ -131,7 +124,6 @@ class HistoryStack:
         if len(self.records) < self.capacity:
             self.records.append(rec)
             self._rebuild()
-            self.min_singular_value = stack_sigma_min(self.phi_matrix)
             return True
 
         current = self.phi_matrix
@@ -147,8 +139,8 @@ class HistoryStack:
         trials[slots, :, slots] = phi
         trial_sv = np.linalg.svd(trials, compute_uv=False)
         best_j = -1
-        best_quality, tol = _stack_metrics(current)
-        for j, quality in enumerate(_qualities(trial_sv, current.shape[0], tol)):
+        best_quality = self._quality
+        for j, quality in enumerate(_qualities(trial_sv, current.shape[0], self._tol)):
             if quality > best_quality:
                 best_j = j
                 best_quality = quality
@@ -156,45 +148,42 @@ class HistoryStack:
             return False
         self.records[best_j] = rec
         self._rebuild()
-        self.min_singular_value = best_quality[1]
         return True
 
 
-def update_source(n: int, m: int, filled: bool) -> tuple[list[str], list[str]]:
+def update_source(n: int, m: int) -> tuple[list[str], list[str]]:
     """The update law as Python source, the one definition of it: (lines,
     names of the m weight rates). The lines read the weights w1..wm, the
-    regressor f1..fm, the errors e1..en and the constants gamma and P's
-    last row p1..pn; on a filled stack also the Gram rows gram<j>_<k> and
-    phi_rhs rhs1..rhsm. The record sum costs the same for any number of
-    records, and a changed stack needs its new constants bound.
+    regressor f1..fm, the errors e1..en, the constants gamma and P's last
+    row p1..pn, and the stack's Gram rows gram<j>_<k> and phi_rhs
+    rhs1..rhsm (`HistoryStack.sums`). The record sum costs the same for
+    any number of records, and a changed stack needs its new constants
+    bound.
     """
-    w, f = symbols("w", m), symbols("f", m)
+    w = symbols("w", m)
     lines = [f"r = -gamma * ({dot_source(symbols('p', n), symbols('e', n))})"]
     for j in range(1, m + 1):
-        rate = f"wd{j} = r * f{j}"
-        if filled:
-            rate += f" - gamma * ({dot_source(symbols(f'gram{j}_', m), w)} - rhs{j})"
-        lines.append(rate)
+        lines.append(f"wd{j} = r * f{j} - gamma * ({dot_source(symbols(f'gram{j}_', m), w)} - rhs{j})")
     return lines, symbols("wd", m)
 
 
 def stack_source(m: int) -> list[str]:
-    """Lines that unpack a filled stack's `gram` and `phi_rhs` into the
-    names update_source reads."""
+    """Lines that unpack `HistoryStack.sums`' `gram` and `phi_rhs` into
+    the names update_source reads."""
     rows = [f"({tuple_source(symbols(f'gram{j}_', m))})" for j in range(1, m + 1)]
     return [f"{tuple_source(rows)} = gram", f"{tuple_source(symbols('rhs', m))} = phi_rhs"]
 
 
-def _update_function(n: int, m: int, filled: bool) -> str:
+def _update_function(n: int, m: int) -> str:
     """Source of rate(gamma, p_last, gram, phi_rhs, w, phi, e), which
     returns the weight rates as a list."""
-    lines, rates = update_source(n, m, filled)
+    lines, rates = update_source(n, m)
     unpack = [
         f"{tuple_source(symbols('p', n))} = p_last",
         f"{tuple_source(symbols('w', m))} = w",
         f"{tuple_source(symbols('f', m))} = phi",
         f"{tuple_source(symbols('e', n))} = e",
-        *(stack_source(m) if filled else []),
+        *stack_source(m),
     ]
     return function_source(
         "rate(gamma, p_last, gram, phi_rhs, w, phi, e)",
@@ -212,7 +201,6 @@ def weight_update_derivative(
 ) -> list[float]:
     """One evaluation of `update_source`'s update law with gain gamma on the
     stack as it is now; p is P as rows."""
-    n, m, filled = len(e), len(w), len(stack) > 0
-    name = f"<weight update n={n} m={m}{' filled' if filled else ''}>"
-    rate = compiled(name, lambda: _update_function(n, m, filled))["rate"]
-    return rate(gamma, p[-1], stack.gram, stack.phi_rhs, w, phi_now, e)
+    n, m = len(e), len(w)
+    rate = compiled(f"<weight update n={n} m={m}>", lambda: _update_function(n, m))["rate"]
+    return rate(gamma, p[-1], *stack.sums(m), w, phi_now, e)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import AllStartsFailedError, FitWorkerError, NonFiniteValueError, NotPositiveDefiniteError
 from .errors import UnfittedModelError
-from .numerics import dot, fork_child, reap_child, require_finite
+from .numerics import dot, fork_child, reap_child, require_count, require_finite
 
 JITTER_REL = 1e-8
 LOG_BOUND = 6.0  # |log hyperparam| cap during optimization
@@ -170,10 +170,8 @@ class GpConfig:
 
     def __post_init__(self):
         require_finite(self, "window", "starts")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.starts < 0:
-            raise ValueError("starts must be >= 0")
+        require_count("window", self.window, 1)
+        require_count("starts", self.starts, 0)
 
 
 class _Evaluation(NamedTuple):

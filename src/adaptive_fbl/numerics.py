@@ -15,6 +15,7 @@ code and library code round alike on every CPython version.
 from __future__ import annotations
 
 import gc
+import numbers
 import os
 import signal
 from typing import Callable, Sequence
@@ -34,6 +35,13 @@ def require_finite(config, *names: str) -> None:
         value = getattr(config, name)
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming the setting unless value is an integer >=
+    minimum: 2.5 would fail only mid-run, and a bool would pass as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _require_square_symmetric(m: np.ndarray, what: str) -> np.ndarray:

@@ -26,7 +26,7 @@ integrated together as one RK4 state, so both advance at one integration
 order; every other step integrates x alone and leaves w as it is. The
 stepping core is generated Python source on scalar locals (`step_kernel`):
 the row evaluation, the stage derivative (control law, plant step and,
-when learning, weight rate), k1's weight rate and a whole RK4 step,
+when learning, weight rate) and a whole RK4 step from the row's values,
 compiled once per plant shape and stage flags and bound to the run's
 constants. The row evaluation that fills the trace at each step is the
 first RK4 stage, so one step costs four evaluations of the closed loop.
@@ -68,8 +68,8 @@ from .controller import (
 )
 from .errors import NonFiniteValueError, StateEscapeError, TraceWriteError
 from .gp import REFIT_PERIOD, SAMPLE_PERIOD, GpConfig, GpModel, training_target
-from .numerics import compiled, dot, fork_child, function_source, quad_form, reap_child, require_finite
-from .numerics import symbols, tuple_source
+from .numerics import compiled, dot, fork_child, function_source, quad_form, reap_child, require_count
+from .numerics import require_finite, symbols, tuple_source
 from .numerics import rk4_step  # noqa: F401
 from .plant import (
     Plant,
@@ -109,12 +109,10 @@ def stage_rows(t1: float, t2: float, h: float) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation case: stage boundaries, step size, and feature flags."""
+    """One simulation case: stage boundaries and step size. The case's
+    flags are read from CASE_FLAGS, their one home."""
 
     case_id: str
-    cl_enabled: bool
-    gp_enabled: bool
-    disturbed: bool
     duration: float = 30.0
     h: float = 1e-3
     t1: float = 10.0
@@ -122,6 +120,8 @@ class Scenario:
     w0: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.case_id not in CASE_FLAGS:
+            raise ValueError(f"unknown case {self.case_id!r}, expected one of {CASE_IDS}")
         require_finite(self, "h", "duration", "t1", "t2")
         if self.h <= 0 or self.duration <= 0:
             raise ValueError("h and duration must be positive")
@@ -134,13 +134,22 @@ class Scenario:
         if self.w0 is not None:
             object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float))
 
+    @property
+    def cl_enabled(self) -> bool:
+        return CASE_FLAGS[self.case_id][0]
+
+    @property
+    def gp_enabled(self) -> bool:
+        return CASE_FLAGS[self.case_id][1]
+
+    @property
+    def disturbed(self) -> bool:
+        return CASE_FLAGS[self.case_id][2]
+
 
 def scenario_for_case(case_id: str, **overrides) -> Scenario:
     """Standard scenario for one of the named cases."""
-    if case_id not in CASE_FLAGS:
-        raise ValueError(f"unknown case {case_id!r}, expected one of {CASE_IDS}")
-    cl, gp, disturbed = CASE_FLAGS[case_id]
-    return Scenario(case_id=case_id, cl_enabled=cl, gp_enabled=gp, disturbed=disturbed, **overrides)
+    return Scenario(case_id, **overrides)
 
 
 @dataclass
@@ -164,7 +173,6 @@ class Trace:
     u_gp: np.ndarray
     u_rob: np.ndarray
     w: np.ndarray
-    gp_mean: np.ndarray
     gp_var: np.ndarray
     d_true: np.ndarray
     v: np.ndarray
@@ -176,7 +184,8 @@ class Trace:
         return self.t.size
 
     def named_columns(self) -> list[tuple[str, np.ndarray]]:
-        """(name, column) pairs in the CSV column order."""
+        """(name, column) pairs in the CSV column order. The `gp_mean`
+        column is u_gp again: the GP's mean where it compensates, else 0."""
         n = self.x.shape[1]
         m = self.w.shape[1]
         cols = [("t", self.t)]
@@ -193,7 +202,7 @@ class Trace:
         ]
         cols += [(f"w{i + 1}", self.w[:, i]) for i in range(m)]
         cols += [
-            ("gp_mean", self.gp_mean),
+            ("gp_mean", self.u_gp),
             ("gp_var", self.gp_var),
             ("d_true", self.d_true),
             ("V", self.v),
@@ -490,16 +499,15 @@ class StepKernel(NamedTuple):
     row(t, x, w) -> (cells, phi, e, xdot, u_total): the row at (t, x, w);
         cells are the row buffer's values in order, phi is what the
         regressor returned, e and xdot are tuples
-    rate(w, phi, e) -> the weight rates as a tuple, for k1 after the row's
-        record; None on a step that does not learn
     derivative(t, *z) -> z's derivative as a tuple, z being (x1..xn, w1..wm)
         on a step that learns, else (x1..xn) with w bound as it is
-    step(t, z, k1) -> z after one RK4 step as a list, k1 being z's
-        derivative at t: numerics.rk4_step's arithmetic, written out
+    step(t, x, w, xdot, phi, e) -> z after one RK4 step as a list, from
+        the row at (t, x, w): k1 is xdot and, on a step that learns, the
+        weight rates at (w, phi, e) on the stack as bound.
+        numerics.rk4_step's arithmetic, written out
     """
 
     row: Callable
-    rate: Callable | None
     derivative: Callable
     step: Callable
 
@@ -516,42 +524,41 @@ def step_kernel(
     disturbed: bool,
     gamma: float = 0.0,
     stack: HistoryStack | None = None,
-    predict: Callable | None = None,
-    predict_mean: Callable | None = None,
+    gp: GpModel | None = None,
 ) -> StepKernel:
     """The closed loop of one stage as a StepKernel bound to its constants.
 
-    Given predict and predict_mean, the kernel compensates with the GP:
-    predict on rows, predict_mean in stages; without them u_gp = 0. A step
-    that learns needs gamma and the record stack, whose Gram rows are
-    bound as they are now; a step that does not learn binds w. The source
-    is compiled once per (n, m, learning, disturbed, gp, empty or filled
-    stack), under a file name that tracebacks show.
+    Given gp, an object with the GP's predict and predict_mean, the kernel
+    compensates with it: predict on rows, predict_mean in stages; without
+    it u_gp = 0. A step that learns needs gamma and the record stack, whose
+    sums (`HistoryStack.sums`) are bound as they are now; a step that does
+    not learn binds w. The source is compiled once per (n, m, learning,
+    disturbed, gp), under a file name that tracebacks show.
     """
     n, m = cfg.order, len(w)
-    filled = learning and len(stack) > 0
-    key = (n, m, learning, disturbed, predict is not None, filled)
-    words = [word for word, on in zip(("learning", "disturbed", "gp", "filled"), key[2:]) if on]
+    key = (n, m, learning, disturbed, gp is not None)
+    words = [word for word, on in zip(("learning", "disturbed", "gp"), key[2:]) if on]
     name = f"<step kernel n={n} m={m} {' '.join(words)}>"
     bind = compiled(name, lambda: _kernel_source(*key))["bind"]
-    gram, phi_rhs = (stack.gram, stack.phi_rhs) if filled else ((), ())
+    gram, phi_rhs = stack.sums(m) if learning else ((), ())
+    predict = (gp.predict, gp.predict_mean) if gp is not None else (None, None)
     w_star = np.asarray(plant.ideal_weights, dtype=float).tolist()
     return StepKernel(
         *bind(
             cfg.gains, p_last, cfg.m, cfg.rho, w_star, w, gamma, gram, phi_rhs, h, 0.5 * h, h / 6.0,
-            reference.trajectory, plant.regressor, plant.disturbance, predict, predict_mean,
+            reference.trajectory, plant.regressor, plant.disturbance, *predict,
         )
     )
 
 
-def _kernel_source(n, m, learning, disturbed, gp, filled) -> str:
-    """Source of bind(...), which returns StepKernel's four functions: the
+def _kernel_source(n, m, learning, disturbed, gp) -> str:
+    """Source of bind(...), which returns StepKernel's three functions: the
     controller's law, the plant's chain and concurrent learning's update
     law, each from its module, on the scalars x1..xn, w1..wm, f1..fm."""
     x, w, f = symbols("x", n), symbols("w", m), symbols("f", m)
     e, ref = symbols("e", n), symbols("ref", n)
     chain, xdot = chain_source(n, m)
-    update, wdot = update_source(n, m, filled) if learning else ([], [])
+    update, wdot = update_source(n, m) if learning else ([], [])
     z, zdot = (x + w, xdot + wdot) if learning else (x, xdot)
     law_and_chain = [*law_source(n, m), *chain]
 
@@ -583,33 +590,26 @@ def _kernel_source(n, m, learning, disturbed, gp, filled) -> str:
             f"return [{', '.join(cells)}], phi, ({tuple_source(e)}), ({tuple_source(xdot)}), u_total",
         ],
     )
-    rate = function_source(
-        "rate(w, phi, e)",
-        [
-            f"{tuple_source(w)} = w",
-            f"{tuple_source(f)} = phi",
-            f"{tuple_source(e)} = e",
-            *update,
-            f"return {tuple_source(wdot)}",
-        ],
-    )
     derivative = function_source(
         f"derivative(t, {', '.join(z)})",
         [f"x = [{', '.join(x)}]", *inputs(row=False), *law_and_chain, *update, f"return {tuple_source(zdot)}"],
     )
 
-    def stage(k: int, at: str, scale: str) -> str:
-        state = ", ".join(f"{zi} + {scale} * k{k - 1}_{i}" for i, zi in enumerate(z, 1))
-        return f"{tuple_source(symbols(f'k{k}_', len(z)))} = derivative({at}, {state})"
+    # k1 is the row's xdot and, on a step that learns, the weight rates
+    ks = [[*symbols("k1_", n), *wdot], *(symbols(f"k{k}_", len(z)) for k in (2, 3, 4))]
 
-    combined = (
-        f"{zi} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i, zi in enumerate(z, 1)
-    )
+    def stage(k: int, at: str, scale: str) -> str:
+        state = ", ".join(f"{zi} + {scale} * {ki}" for zi, ki in zip(z, ks[k - 2]))
+        return f"{tuple_source(ks[k - 1])} = derivative({at}, {state})"
+
+    combined = (f"{zi} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for zi, a, b, c, d in zip(z, *ks))
+    learned = [f"{tuple_source(w)} = w", f"{tuple_source(f)} = phi", f"{tuple_source(e)} = e", *update]
     step = function_source(
-        "step(t, z, k1)",
+        "step(t, x, w, xdot, phi, e)",
         [
-            f"{tuple_source(z)} = z",
-            f"{tuple_source(symbols('k1_', len(z)))} = k1",
+            f"{tuple_source(x)} = x",
+            *(learned if learning else []),
+            f"{tuple_source(ks[0][:n])} = xdot",
             "tm = t + half",
             stage(2, "tm", "half"),
             stage(3, "tm", "half"),
@@ -621,20 +621,12 @@ def _kernel_source(n, m, learning, disturbed, gp, filled) -> str:
         f"{tuple_source(symbols('gain', n))} = gains",
         f"{tuple_source(symbols('p', n))} = p_last",
         f"{tuple_source(symbols('ws', m))} = w_star",
+        *(stack_source(m) if learning else [f"{tuple_source(w)} = w"]),
     ]
-    if not learning:
-        constants.append(f"{tuple_source(w)} = w")
-    if filled:
-        constants += stack_source(m)
-    functions = [row, rate if learning else "", derivative, step]
     return function_source(
         "bind(gains, p_last, m_rob, rho, w_star, w, gamma, gram, phi_rhs, h, half, sixth,\n"
         "         trajectory, regressor, disturbance, predict, predict_mean)",
-        [
-            *constants,
-            *"\n".join(functions).splitlines(),
-            f"return row, {'rate' if learning else 'None'}, derivative, step",
-        ],
+        [*constants, *"\n".join([row, derivative, step]).splitlines(), "return row, derivative, step"],
     )
 
 
@@ -650,11 +642,14 @@ def run_case(
 ) -> tuple[Trace, Metrics]:
     """Simulate one case and return its trace and metrics.
 
-    Deterministic for a fixed (scenario, configs, seed): the seed only
-    feeds the GP hyperparameter optimizer starts. The GP samples and refits
-    on gp.SAMPLE_PERIOD and gp.REFIT_PERIOD, and compensates on stage-3
-    steps once fitted. The measured state derivative used for records, GP
-    targets, and the monitor is the exact plant evaluation.
+    Deterministic for a fixed (scenario, configs, seed): the seed, an
+    integer >= 0, only feeds the GP hyperparameter optimizer starts. The
+    GP samples and refits on gp.SAMPLE_PERIOD and gp.REFIT_PERIOD, and
+    compensates on stage-3 steps once fitted. The measured state
+    derivative used for records, GP targets, and the monitor is the exact
+    plant evaluation: each row's xdot, which is also its step's k1 (the
+    kernel's `step` adds the weight rates on the stack after the row's
+    record).
 
     After each step the new (x, w) must be finite with every |x_i| <=
     STATE_ESCAPE_LIMIT, else StateEscapeError (finite) or NonFiniteValueError
@@ -675,6 +670,7 @@ def run_case(
         learner = LearnerConfig()
     if gp_cfg is None:
         gp_cfg = GpConfig()
+    require_count("seed", seed, 0)
 
     if plant is None:
         plant = benchmark_plant()
@@ -707,10 +703,9 @@ def run_case(
     rows = n_steps + 1
     # Row i of the run, stored with one assignment: t, x, x_ref, e, the
     # ControlBreakdown fields in their order, w, and gp_var, d_true and
-    # the row's bracket for the monitor; gp_mean is the u_gp column. The
-    # trace's float columns are views of this buffer, never copies of it.
-    # The buffer is a shared mapping, so a forked CSV writer sees each row
-    # once stored.
+    # the row's bracket for the monitor. The trace's float columns are
+    # views of this buffer, never copies of it. The buffer is a shared
+    # mapping, so a forked CSV writer sees each row once stored.
     widths = [1, n, n, n, len(ControlBreakdown._fields), m_dim, 3]
     splits = np.cumsum(widths[:-1])
     buf = np.frombuffer(mmap.mmap(-1, rows * sum(widths) * 8)).reshape(rows, sum(widths))
@@ -745,7 +740,6 @@ def run_case(
             u_gp=u_gp,
             u_rob=u_rob,
             w=w_col,
-            gp_mean=u_gp,
             gp_var=gp_var,
             d_true=d_true,
             v=v,
@@ -764,7 +758,7 @@ def run_case(
         return step_kernel(
             cfg, p_rows[-1], plant, reference, h, w,
             learning=learning, disturbed=disturbed, gamma=learner.gamma_w, stack=stack,
-            predict=model.predict if gp else None, predict_mean=model.predict_mean if gp else None,
+            gp=model if gp else None,
         )
 
     writer = _CsvWriter(csv_path, rows, trace_of) if csv_path is not None and hasattr(os, "fork") else None
@@ -785,7 +779,7 @@ def run_case(
             gp = model is not None and stage == 3 and model.fitted
             flags = (learning, scenario.disturbed and stage > 1, gp)
             if flags != bound:
-                row, rate, _, step = bind(flags, w)
+                row, _, step = bind(flags, w)
                 bound = flags
 
             cells, phi, e, xdot, u_total = row(t, x, w)
@@ -796,13 +790,12 @@ def run_case(
 
             xdot_n_meas = xdot[-1]
             if learning and i % rec_every == 0 and stack.try_record(phi, xdot_n_meas, u_total):
-                row, rate, _, step = bind(flags, w)
+                row, _, step = bind(flags, w)
             if model is not None and stage > 1 and (i - i1) % samp_every == 0:
                 model.observe(x, training_target(xdot_n_meas, w, phi, u_total))
 
             if i < n_steps:
-                z, k1 = (x + w, xdot + rate(w, phi, e)) if learning else (x, xdot)
-                z_next = step(t, z, k1)
+                z_next = step(t, x, w, xdot, phi, e)
                 x_next, w_next = (z_next[:n], z_next[n:]) if learning else (z_next, w)
                 # the run's one state check per step; nan fails the first test
                 finite = all(map(math.isfinite, z_next))

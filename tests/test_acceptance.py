@@ -74,7 +74,7 @@ def test_c04_mismatch_absorption(case_runs):
     mask = tr_d.stage == 3
     phi = benchmark_phi(tr_d.x[mask])
     model_gap = np.einsum("ij,ij->i", np.broadcast_to(W_STAR, tr_d.w[mask].shape) - tr_d.w[mask], phi)
-    diff = tr_d.gp_mean[mask] - tr_e.gp_mean[mask]
+    diff = tr_d.u_gp[mask] - tr_e.u_gp[mask]
     corr = float(np.corrcoef(diff, model_gap)[0, 1])
     report(
         "C04 mismatch absorption",

@@ -60,7 +60,6 @@ def tiny_trace(n_rows=3):
         u_gp=rng.standard_normal(n),
         u_rob=rng.standard_normal(n),
         w=rng.standard_normal((n, 3)),
-        gp_mean=rng.standard_normal(n),
         gp_var=np.abs(rng.standard_normal(n)),
         d_true=rng.standard_normal(n),
         v=np.abs(rng.standard_normal(n)),

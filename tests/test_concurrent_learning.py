@@ -7,7 +7,6 @@ from adaptive_fbl.concurrent_learning import (
     HistoryStack,
     LearnerConfig,
     Record,
-    stack_sigma_min,
     weight_update_derivative,
 )
 from adaptive_fbl.numerics import rk4_step
@@ -72,7 +71,27 @@ class TestPredictionError:
             np.testing.assert_allclose(record_sum(stack, w), direct_record_sum(stack, w), atol=1e-12)
 
 
+signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
+
+
 class TestWeightUpdateDerivative:
+    @settings(max_examples=100)
+    @given(n=st.integers(1, 4), m=st.integers(1, 4), data=st.data(), gamma=st.floats(0.1, 5.0))
+    def test_empty_stack_leaves_the_error_term_alone(self, n, m, data, gamma):
+        """On an empty stack each rate is -gamma phi_j (p . e) bit for bit,
+        signed zeros included: the zero sums the stack binds add nothing."""
+
+        def vector(size):
+            return data.draw(st.lists(signed, min_size=size, max_size=size))
+
+        p_last, e, w, phi = vector(n), vector(n), vector(m), vector(m)
+        s = 0.0
+        for pi, ei in zip(p_last, e):
+            s += pi * ei
+        expected = [-gamma * s * f for f in phi]
+        wdot = weight_update_derivative(gamma, HistoryStack(5), w, phi, e, [p_last])
+        assert [v.hex() for v in wdot] == [v.hex() for v in expected]
+
     def test_zero_error_empty_stack(self):
         wdot = weight_update_derivative(3.0, HistoryStack(5), np.array([0.5, -1.3, 0.75]), np.ones(3), np.zeros(2), P_BENCH)
         np.testing.assert_array_equal(wdot, np.zeros(3))
@@ -142,12 +161,40 @@ class TestHistoryStack:
         np.testing.assert_array_equal(stack.phi_matrix, before)
 
     def test_cached_sigma_matches_recomputation(self):
+        """sigma_min is the third singular value of the stacked regressors,
+        zero until three records span weight space."""
         rng = np.random.default_rng(4)
         stack = HistoryStack(6)
         for _ in range(60):
             stack.try_record(rng.uniform(-1, 1, 3), rng.uniform(-1, 1), rng.uniform(-1, 1))
-            recomputed = stack_sigma_min(stack.phi_matrix)
+            sv = np.linalg.svd(stack.phi_matrix, compute_uv=False)
+            recomputed = sv[2] if sv.size == 3 else 0.0
             assert abs(stack.min_singular_value - recomputed) <= 1e-9
+
+    def test_one_svd_per_scored_offer_and_per_stored_record(self, monkeypatch):
+        """The stack keeps its own score from its last stored record: an
+        offer to a full stack runs one batched SVD over the trials, and a
+        stored record one more for the new stack; a duplicate runs none."""
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        stack = HistoryStack(3)
+        for phi in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1e-3, 1e-3]):
+            assert stack.try_record(np.array(phi), 0.0, 0.0)
+        assert calls == [(3, 1), (3, 2), (3, 3)]
+        calls.clear()
+        assert not stack.try_record(np.array([0.0, 1.0, 0.0]), 0.0, 0.0)
+        assert calls == []
+        assert not stack.try_record(np.array([1e-6, 0.0, 0.0]), 0.0, 0.0)
+        assert calls == [(3, 3, 3)]
+        calls.clear()
+        assert stack.try_record(np.array([0.0, 0.0, 1.0]), 0.0, 0.0)
+        assert calls == [(3, 3, 3), (3, 3)]
 
     def test_sigma_min_non_decreasing_over_offers(self):
         rng = np.random.default_rng(5)

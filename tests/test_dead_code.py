@@ -3,7 +3,9 @@
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adaptive_fbl"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "adaptive_fbl"
+TRACER = ROOT / "bench" / "tracing.py"
 
 # read by bench/tracing.py: the GP's likelihood and window, and the
 # simulator names it patches, which the generated stepping kernel does not call
@@ -66,12 +68,12 @@ def test_allowlist_names_existing_definitions():
     assert ALLOWED_UNREFERENCED <= {qualified for qualified, _ in defined}
 
 
-def test_every_module_level_import_is_used_by_its_module():
-    """Each name a module of src/adaptive_fbl (bar __init__.py) imports at
-    module level is named in that module, unless its line or the import
-    statement's first line carries `# noqa: F401` (imported for others to
-    read or patch there)."""
-    unused = []
+def unnamed_imports():
+    """(where, name, marked) of each name a module of src/adaptive_fbl (bar
+    __init__.py) imports at module level but never names, where marked
+    says whether its line or the import statement's first line carries
+    `# noqa: F401`."""
+    found = []
     for path, tree in modules():
         lines = path.read_text().splitlines()
         named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -82,6 +84,26 @@ def test_every_module_level_import_is_used_by_its_module():
             for alias in node.names:
                 name = (alias.asname or alias.name).split(".")[0]
                 marked = any("# noqa: F401" in lines[i - 1] for i in (node.lineno, alias.lineno))
-                if name not in named and not marked:
-                    unused.append(f"{path.name}:{alias.lineno} {name}")
+                if name not in named:
+                    found.append((f"{path.name}:{alias.lineno}", name, marked))
+    return found
+
+
+def test_every_module_level_import_is_used_by_its_module():
+    """Each name a module imports at module level is named in that module,
+    unless it is marked `# noqa: F401` (imported for others to read or
+    patch there)."""
+    unused = [f"{where} {name}" for where, name, marked in unnamed_imports() if not marked]
     assert unused == [], f"imported but never named in the module: {unused}"
+
+
+def test_bench_only_names_are_named_by_the_tracer():
+    """Each allowlisted definition, and each `# noqa: F401` import that its
+    module never names, is named in bench/tracing.py, which reads or
+    patches them: once the tracer stops naming one, the allowance goes."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    traced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    traced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    allowed = {qualified.split(".")[-1] for qualified in ALLOWED_UNREFERENCED}
+    allowed |= {name for _, name, marked in unnamed_imports() if marked}
+    assert sorted(allowed - traced) == [], "allowed for bench/tracing.py, which never names it"

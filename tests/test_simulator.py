@@ -76,6 +76,8 @@ class TestScenario:
             LearnerConfig(cl_enabled=False)
         with pytest.raises(TypeError):
             scenario_for_case("a", rob_enabled=False)
+        with pytest.raises(TypeError):
+            Scenario("a", cl_enabled=True)
 
     @pytest.mark.parametrize(
         "h, t1, t2, empty",
@@ -117,6 +119,31 @@ class TestScenario:
             make = functools.partial(scenario_for_case, "b")
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, value) for name in ("stack_capacity", "window", "starts", "seed") for value in (2.5, True)]
+        + [("seed", -1)],
+    )
+    def test_counts_must_be_integers(self, monkeypatch, name, value):
+        """A fractional, bool or negative count fails before the first step,
+        naming its field. Unchecked, a stack capacity of 2.5 fails once the
+        stack is full, 1.5 starts or a seed of 2.5 at the first fit, and
+        True passes as 1."""
+
+        def unbound(*args, **kwargs):
+            raise AssertionError("a stepping kernel was bound")
+
+        monkeypatch.setattr(simulator, "step_kernel", unbound)
+        run = functools.partial(run_case, scenario_for_case("e", h=0.01, duration=2.0, t1=0.5, t2=1.0))
+        start = {
+            "stack_capacity": lambda v: run(learner=LearnerConfig(stack_capacity=v)),
+            "window": lambda v: run(gp_cfg=GpConfig(window=v)),
+            "starts": lambda v: run(gp_cfg=GpConfig(starts=v)),
+            "seed": lambda v: run(seed=v),
+        }[name]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            start(value)
 
     def test_controller_order_must_match_plant(self, monkeypatch):
         """Three gains on the order-2 plant fail before a stepping kernel is
@@ -361,7 +388,7 @@ class TestSteppingCore:
         """A step evaluates the closed loop four times, once per RK4 stage:
         its row's evaluation is the first stage, k1, and the step's three
         later stages are one evaluation each. Only a step that learns
-        integrates w with x and takes k1's weight rate."""
+        integrates w with x."""
         counts = Counter()
         plant, reference = benchmark_plant(), sine_reference()
 
@@ -384,15 +411,14 @@ class TestSteppingCore:
         def observed(*args, **kwargs):
             kernel = bind(*args, **kwargs)
 
-            def step(t, z, k1):
+            def step(*args):
                 before = counts["regressor"]
-                state_sizes.append(len(z))
-                z_next = kernel.step(t, z, k1)
+                z_next = kernel.step(*args)
+                state_sizes.append(len(z_next))
                 step_evaluations.append(counts["regressor"] - before)
                 return z_next
 
-            rate = kernel.rate and counted("rate", kernel.rate)
-            return kernel._replace(step=step, rate=rate)
+            return kernel._replace(step=step)
 
         monkeypatch.setattr(simulator, "step_kernel", observed)
         learning, steps = 10, 20
@@ -404,10 +430,23 @@ class TestSteppingCore:
         # each step's row and three stages, the final row, and the shape checks
         assert counts["trajectory"] == 4 * steps + 2
         assert counts["regressor"] == 4 * steps + 2
-        # (x, w) on learning steps, x alone after them; k1's weight rate is
-        # taken on learning steps only
+        # (x, w) on learning steps, x alone after them
         assert state_sizes == [5] * learning + [2] * (steps - learning)
-        assert counts["rate"] == learning
+
+    def test_one_learning_kernel_for_any_stack(self, monkeypatch):
+        """An empty record stack binds zero sums, so case b compiles one
+        kernel for its learning steps, before and after the first record,
+        and one for the steps after learning."""
+        names = set()
+        compiled = simulator.compiled
+
+        def recorded(name, source):
+            names.add(name)
+            return compiled(name, source)
+
+        monkeypatch.setattr(simulator, "compiled", recorded)
+        run_case(scenario_for_case("b", h=1e-3))
+        assert sorted(names) == ["<step kernel n=2 m=3 >", "<step kernel n=2 m=3 learning>"]
 
 
 class TestMetrics:
@@ -431,7 +470,6 @@ class TestMetrics:
             u_gp=np.zeros(n),
             u_rob=np.zeros(n),
             w=np.tile(W_STAR, (n, 1)),
-            gp_mean=np.zeros(n),
             gp_var=np.zeros(n),
             d_true=np.zeros(n),
             v=np.zeros(n),

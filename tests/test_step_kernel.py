@@ -3,13 +3,15 @@
 The reference loop is built from `compute_control`, the chain dynamics
 [*x[1:], w* . phi + u + d] and `weight_update_derivative`, and integrated
 by `numerics.rk4_step`. The kernel must give the same bits: its stage
-derivative, its RK4 step, and its row's k1.
+derivative, its row's xdot, and its RK4 step from the row's values, whose
+k1 holds the weight rates on a step that learns.
 """
 
 import inspect
 import math
 import traceback
 from operator import mul
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -45,6 +47,9 @@ def gp_mean(x):
 
 def gp_predict(x):
     return gp_mean(x), 0.05
+
+
+GP = SimpleNamespace(predict=gp_predict, predict_mean=gp_mean)
 
 
 def reference_loop(cfg, p_last, plant, reference, w_bound, flags, gamma, stack):
@@ -111,8 +116,7 @@ def test_kernel_matches_rk4_over_the_reference_loop(
 
     kernel = step_kernel(
         cfg, p_last, plant, reference, h, w,
-        learning=learning, disturbed=disturbed, gamma=gamma, stack=stack,
-        predict=gp_predict if gp else None, predict_mean=gp_mean if gp else None,
+        learning=learning, disturbed=disturbed, gamma=gamma, stack=stack, gp=GP if gp else None,
     )
     f = reference_loop(cfg, p_last, plant, reference, w, (learning, disturbed, gp), gamma, stack)
     z = x + w if learning else x
@@ -121,11 +125,9 @@ def test_kernel_matches_rk4_over_the_reference_loop(
     assert bits(kernel.derivative(t, *z)) == bits(expected_k1)
 
     _, phi, e, xdot, _ = kernel.row(t, x, w)
-    k1 = list(xdot) + list(kernel.rate(w, phi, e)) if learning else list(xdot)
-    assert kernel.rate is None or learning
-    assert bits(k1) == bits(expected_k1)
+    assert bits(xdot) == bits(expected_k1[:n])
 
-    z_next = kernel.step(t, z, tuple(k1))
+    z_next = kernel.step(t, x, w, xdot, phi, e)
     assert isinstance(z_next, list) and bits(z_next) == bits(rk4_step(f, t, z, h))
 
 
