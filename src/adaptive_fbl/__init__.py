@@ -39,7 +39,6 @@ from .simulator import (
     emit_trace,
     lyapunov_monitor,
     run_case,
-    scenario_for_case,
 )
 
 __version__ = "0.1.0"

@@ -35,7 +35,6 @@ from .simulator import (  # noqa: F401
     Scenario,
     emit_trace,
     run_case,
-    scenario_for_case,
 )
 
 
@@ -65,7 +64,7 @@ class RunConfig:
 
     def scenario(self, case_id: str) -> Scenario:
         try:
-            return scenario_for_case(case_id, h=self.h)
+            return Scenario(case_id, h=self.h)
         except ValueError as exc:  # a step that leaves a stage without rows
             raise OutOfRangeError(str(exc)) from None
 
@@ -300,7 +299,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, help="key = value config file")
     parser.add_argument("--cases", help="comma-separated subset of a,b,c,d,e")
     parser.add_argument("--out", help="output directory (default: runs)")
-    parser.add_argument("--seed", type=int, help="seed for the GP optimizer starts")
+    parser.add_argument("--seed", type=int, help="seed for the random starts of the first GP fit")
     parser.add_argument("--h", type=float, help="integration step in seconds")
     args = parser.parse_args(argv)
 

@@ -11,9 +11,14 @@ whatever the weight estimate still gets wrong. Subtracting the posterior
 mean of this quantity in the control law cancels both at once.
 
 The three hyperparameters (signal scale, length scale, noise scale) are
-refit by multi-start gradient ascent on the log marginal likelihood. The
-noise scale is a learned parameter with a small floor (SIGMA_N_FLOOR); a
-noise-free kernel matrix is not invertible reliably enough for online use.
+fit by gradient ascent on the log marginal likelihood. A model's first
+fit ascends from several starts, the incumbent and random ones; each
+later refit ascends from the incumbent alone, as online GP controllers
+step their hyperparameters from the current estimate (Grande, Chowdhary
+& How, CDC 2013), and falls back to the full start set only if that
+ascent fails. The noise scale is a learned parameter with a small floor
+(SIGMA_N_FLOOR); a noise-free kernel matrix is not invertible reliably
+enough for online use.
 A run samples the window every SAMPLE_PERIOD seconds of its disturbed
 stages and refits every REFIT_PERIOD seconds of its compensated one.
 
@@ -24,12 +29,14 @@ and scipy's LAPACK, which factorizes, always runs one (_lapack).
 Predictions read a snapshot frozen at the last fit, so observations can
 stream in between refits without perturbing the controller mid-step.
 
-The optimizer starts are independent, since the likelihood is multimodal,
-so a fit deals them round-robin over one process per usable CPU (not
-threads: scipy's LAPACK wrappers hold the interpreter lock). It forks a
-child per chunk but the first, ascends the first itself and reads the
-children's results back through pipes. The winner is picked in start
-order, so every fit is bit-identical whichever way its starts were dealt.
+The starts of a full set are independent, since the likelihood is
+multimodal, so a fit deals them round-robin over one process per usable
+CPU (not threads: scipy's LAPACK wrappers hold the interpreter lock). It
+forks a child per chunk but the first, ascends the first itself and
+reads the children's results back through pipes. The winner is picked in
+start order, so the fit is bit-identical whichever way its starts were
+dealt. A later refit's one ascent runs in the calling process and forks
+nothing.
 """
 
 from __future__ import annotations
@@ -161,9 +168,10 @@ class Hyperparams:
 @dataclass
 class GpConfig:
     """The online model's settings: the sliding window's size and the
-    number of random optimizer starts a fit adds to the incumbent. The
-    sampling and refit periods and the noise floor are the module's
-    constants."""
+    number of random optimizer starts a run's first fit adds to the
+    incumbent (a later refit ascends the incumbent alone, and adds them
+    only if that ascent fails). The sampling and refit periods and the
+    noise floor are the module's constants."""
 
     window: int = 100
     starts: int = 5
@@ -291,7 +299,7 @@ def _ascend(lml: _Likelihood, theta: np.ndarray) -> tuple[float, np.ndarray] | N
     accepted steps shrink to 1/512 as case d's do, can still take them.
     The final search, the one that fails, is what it saves: on
     wide_window (case e, h = 0.01, gp_window = 200, seed 0) the fits
-    evaluate the likelihood 1606 times instead of 2340, with the same
+    evaluate the likelihood 202 times instead of 352, with the same
     winners.
 
     The stop is not a stationarity test, and the direction is not
@@ -466,12 +474,16 @@ class GpModel:
     def fit(self) -> "GpModel":
         """Refit hyperparameters on the current window and rebuild the snapshot.
 
-        The incumbent hyperparameters are one of the optimizer starts, so a
-        fit never ends below the incumbent's likelihood. Raises
+        A model with no snapshot (the run's first fit) ascends every start
+        of _start_points: the incumbent and `starts` random ones. A model
+        with one (each later refit) ascends only the incumbent, in this
+        process with no fork, and falls back to every start if that one
+        ascent fails. The incumbent is a start either way, so a fit never
+        ends below the incumbent's likelihood on the window. Raises
         AllStartsFailedError (keeping the previous state) if no start
         yields a positive-definite kernel matrix.
 
-        The starts are dealt round-robin over p = min(starts,
+        A full start set is dealt round-robin over p = min(starts + 1,
         usable_cpus()) chunks, one without os.fork: chunk 0 is ascended
         here, each other one in a forked child. A failed child writes its
         traceback to stderr, and the fit raises FitWorkerError. On any
@@ -480,6 +492,10 @@ class GpModel:
         if len(self._targets) < 2:
             raise ValueError("fit requires at least 2 training points")
         lml = _Likelihood(np.array(self._inputs), np.array(self._targets))
+        if self.fitted:
+            best = _ascend(lml, self.hyper.log_vector())
+            if best is not None:
+                return self.refresh(Hyperparams.from_log_vector(best[1]), lml)
 
         starts = self._start_points(lml)
         p = min(len(starts), usable_cpus()) if hasattr(os, "fork") else 1

@@ -10,7 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from hypothesis import settings  # noqa: E402
 
-from adaptive_fbl import CASE_IDS, run_case, scenario_for_case  # noqa: E402
+from adaptive_fbl import CASE_IDS, Scenario, run_case  # noqa: E402
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a failure reproduces and nothing is written next to the tests.
@@ -29,4 +29,4 @@ def assert_no_child_process():
 @pytest.fixture(scope="session")
 def case_runs():
     """All five benchmark cases at default settings, shared across tests."""
-    return {cid: run_case(scenario_for_case(cid)) for cid in CASE_IDS}
+    return {cid: run_case(Scenario(cid)) for cid in CASE_IDS}

@@ -16,7 +16,7 @@ from adaptive_fbl.controller import ControllerConfig, compute_P
 from adaptive_fbl.gp import JITTER_REL, GpModel, Hyperparams, log_marginal_likelihood
 from adaptive_fbl.numerics import rk4_step, solve_lyapunov
 from adaptive_fbl.plant import integrator_chain
-from adaptive_fbl.simulator import run_case, scenario_for_case, stage_masks
+from adaptive_fbl.simulator import Scenario, run_case, stage_masks
 
 W_STAR = np.array([1.0, -1.0, 0.5])
 
@@ -34,7 +34,7 @@ def benchmark_phi(x):
 
 def test_c01_parameter_convergence():
     start = time.perf_counter()
-    trace, _ = run_case(scenario_for_case("b"))
+    trace, _ = run_case(Scenario("b"))
     elapsed = time.perf_counter() - start
     i1 = int(round(10.0 / trace.h))
     err = float(np.max(np.abs(trace.w[i1] - W_STAR)))
@@ -197,7 +197,7 @@ def test_c08_likelihood_gradient():
 
 
 def test_c09_linear_closed_loop_equivalence():
-    scn = scenario_for_case("a", duration=5.0, w0=W_STAR.copy())
+    scn = Scenario("a", duration=5.0, w0=W_STAR.copy())
     cfg = ControllerConfig(gains=np.array([20.0, 20.0]), m=0.0)
     trace, _ = run_case(scn, cfg=cfg)
     a, b = integrator_chain(2)
@@ -264,7 +264,7 @@ def test_c11_exponential_stack_convergence():
 
 def test_c12_determinism(case_runs, tmp_path):
     tr1 = case_runs["e"][0]
-    tr2, _ = run_case(scenario_for_case("e"))
+    tr2, _ = run_case(Scenario("e"))
     p1, p2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
     emit_trace(tr1, p1)
     emit_trace(tr2, p2)

@@ -22,7 +22,7 @@ from adaptive_fbl.controller import ControllerConfig
 from adaptive_fbl.errors import ConfigParseError, OutOfRangeError, UnknownKeyError
 from adaptive_fbl.gp import GpConfig
 from adaptive_fbl.plant import sine_reference
-from adaptive_fbl.simulator import EMIT_BLOCK_ROWS, Metrics, Trace, scenario_for_case
+from adaptive_fbl.simulator import EMIT_BLOCK_ROWS, Metrics, Scenario, Trace
 
 W_STAR = np.array([1.0, -1.0, 0.5])
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -111,7 +111,7 @@ class TestParseConfig:
             for f in fields(library):
                 ours, theirs = getattr(built, f.name), getattr(library, f.name)
                 assert np.array_equal(ours, theirs) if f.name == "q" else ours == theirs, f.name
-        assert cfg.scenario("a") == scenario_for_case("a")
+        assert cfg.scenario("a") == Scenario("a")
         ours, theirs = sine_reference(cfg.amplitude, cfg.omega), sine_reference()
         assert ours.amplitude == theirs.amplitude
         assert ours.trajectory(1.0) == theirs.trajectory(1.0)

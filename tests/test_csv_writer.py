@@ -18,7 +18,7 @@ from adaptive_fbl.cli import main
 from adaptive_fbl.errors import FitWorkerError, NonFiniteValueError, StateEscapeError, TraceWriteError
 from adaptive_fbl.gp import GpConfig
 from adaptive_fbl.plant import Plant, benchmark_plant
-from adaptive_fbl.simulator import EMIT_BLOCK_ROWS, emit_trace, run_case, scenario_for_case
+from adaptive_fbl.simulator import EMIT_BLOCK_ROWS, Scenario, emit_trace, run_case
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the CSV writer is forked")
 
@@ -43,7 +43,7 @@ def deadline():
 def short_case_b(rows: int):
     """Case b with `rows` rows, all in stage 1 up to 200 rows."""
     duration = (rows - 1) * H if rows > 1 else H / 4  # a duration that rounds to no step
-    return scenario_for_case("b", duration=duration, t1=2.0, t2=4.0, h=H)
+    return Scenario("b", duration=duration, t1=2.0, t2=4.0, h=H)
 
 
 def streamed_and_whole(tmp_path, scenario, **kwargs):
@@ -67,14 +67,15 @@ def test_streamed_csv_equals_emit_trace(tmp_path, rows):
 
 
 def test_streamed_csv_with_fit_workers_forked_after_the_writer(tmp_path, monkeypatch):
-    """A short case e whose eleven fits each deal three starts over two
-    processes: every fit's child inherits the writer's pipe."""
+    """A short case e whose first fit deals three starts over two
+    processes: that fit's child inherits the writer's pipe. The ten later
+    fits ascend the incumbent alone, in the calling process."""
     monkeypatch.setattr(gp, "usable_cpus", lambda: 2)
     forks, fork = [], gp.fork_child
     monkeypatch.setattr(gp, "fork_child", lambda body, name: forks.append(name) or fork(body, name))
-    scenario = scenario_for_case("e", duration=8.0, t1=2.0, t2=3.0, h=H)
+    scenario = Scenario("e", duration=8.0, t1=2.0, t2=3.0, h=H)
     streamed, whole, _ = streamed_and_whole(tmp_path, scenario, gp_cfg=GpConfig(window=30, starts=2))
-    assert len(forks) == 11
+    assert len(forks) == 1
     assert streamed == whole
 
 
@@ -228,17 +229,17 @@ def nan_from(after: float) -> Plant:
     "scenario, plant, error, message",
     [
         # the state escapes in stage 1, before the first block is complete
-        (scenario_for_case("b", h=0.05), None, StateEscapeError, "state left"),
+        (Scenario("b", h=0.05), None, StateEscapeError, "state left"),
         # after two blocks have reached the writer
         (
-            scenario_for_case("c", h=H, t1=12.0, duration=15.0),
+            Scenario("c", h=H, t1=12.0, duration=15.0),
             nan_from(12.0),
             NonFiniteValueError,
             "state turned inf or nan",
         ),
         # once every block but the last has reached it
         (
-            scenario_for_case("c", h=H, t1=12.0, duration=12.0),
+            Scenario("c", h=H, t1=12.0, duration=12.0),
             nan_from(12.0),
             NonFiniteValueError,
             "on the final row",
@@ -324,7 +325,7 @@ def test_failed_gp_run_kills_its_writer(tmp_path, monkeypatch):
         return ascend(lml, theta)
 
     monkeypatch.setattr(gp, "_ascend", failing)
-    scenario = scenario_for_case("e", duration=8.0, t1=2.0, t2=3.0, h=H)
+    scenario = Scenario("e", duration=8.0, t1=2.0, t2=3.0, h=H)
     with pytest.raises(FitWorkerError, match="exited with status 1"):
         run_case(scenario, gp_cfg=GpConfig(window=30, starts=2), csv_path=tmp_path / "case_e.csv")
     assert os.listdir(tmp_path) == []

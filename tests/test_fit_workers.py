@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import assert_no_child_process
 
-from adaptive_fbl import gp, run_case, scenario_for_case
+from adaptive_fbl import Scenario, gp, run_case
 from adaptive_fbl.cli import emit_trace, main
 from adaptive_fbl.errors import FitWorkerError, NonFiniteValueError
 from adaptive_fbl.gp import GpConfig, GpModel
@@ -22,8 +22,9 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the fit workers
 
 
 def short_case_e():
-    """Case e with eleven fits on windows of up to 30 points, six starts each."""
-    return scenario_for_case("e", duration=8.0, t1=2.0, t2=3.0, h=0.01)
+    """Case e with eleven fits on windows of up to 30 points: six starts at
+    the first, the incumbent alone at each later one."""
+    return Scenario("e", duration=8.0, t1=2.0, t2=3.0, h=0.01)
 
 
 def window_model(starts: int) -> GpModel:
@@ -127,6 +128,63 @@ def test_no_child_without_a_second_start_cpu_or_fork(cpus, forks, monkeypatch):
     assert forks == []
 
 
+def slid_window(model: GpModel) -> GpModel:
+    """model with ten new points of its window's function, its ten oldest
+    evicted."""
+    rng = np.random.default_rng(4)
+    for xi in rng.uniform(-0.6, 0.6, size=(10, 2)):
+        model.observe(xi, np.cos(xi[0]) + xi[1])
+    return model
+
+
+@pytest.fixture
+def ascents(monkeypatch):
+    """The start points `_ascend` is called with in this process, in call
+    order, once installed; an ascent from `fail_from` returns None."""
+    thetas, ascend = [], gp._ascend
+
+    def install(fail_from=None):
+        def recording(lml, theta):
+            thetas.append(theta.tobytes())
+            if fail_from is not None and theta.tobytes() == fail_from.tobytes():
+                return None
+            return ascend(lml, theta)
+
+        monkeypatch.setattr(gp, "_ascend", recording)
+        return thetas
+
+    return install
+
+
+def test_a_later_fit_ascends_the_incumbent_alone_and_forks_nothing(cpus, forks, ascents):
+    cpus(2)
+    model = slid_window(window_model(starts=4).fit())
+    assert len(forks) == 1  # the first fit's split
+    incumbent = model.hyper.log_vector()
+    _, end = gp._ascend(gp._Likelihood(model.inputs, model.targets), incumbent)
+    thetas = ascents()
+    model.fit()
+    assert thetas == [incumbent.tobytes()]
+    assert len(forks) == 1
+    assert model.hyper.log_vector().tobytes() == gp.Hyperparams.from_log_vector(end).log_vector().tobytes()
+
+
+def test_a_later_fit_whose_incumbent_fails_ascends_every_start(cpus, forks, ascents):
+    """The fallback is the first fit's start set on the current window,
+    dealt over the CPUs as a first fit deals it."""
+    cpus(2)
+    model = slid_window(window_model(starts=4).fit())
+    incumbent = model.hyper.log_vector()
+    starts = model._start_points(gp._Likelihood(model.inputs, model.targets))
+    thetas = ascents(fail_from=incumbent)
+    model.fit()
+    # the incumbent alone, then chunk [0, 2, 4] here and [1, 3] in a child
+    assert thetas == [theta.tobytes() for theta in [incumbent, *starts[::2]]]
+    assert len(forks) == 2
+    assert model.hyper.log_vector().tobytes() != incumbent.tobytes()
+    assert_no_child_process()
+
+
 def test_trace_bytes_do_not_depend_on_the_cpu_count(cpus, forks, tmp_path):
     paths, counts = [], []
     for count in (1, 2):
@@ -136,7 +194,7 @@ def test_trace_bytes_do_not_depend_on_the_cpu_count(cpus, forks, tmp_path):
         paths.append(tmp_path / f"cpus{count}.csv")
         emit_trace(trace, paths[-1])
         assert_no_child_process()
-    assert counts == [0, 11]  # on two CPUs, one child per fit
+    assert counts == [0, 1]  # on two CPUs, one child at the first fit
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 

@@ -446,6 +446,24 @@ class TestFit:
         v_fit, _ = log_marginal_likelihood(x, y, model.hyper)
         assert v_fit >= v_inc - 1e-12
 
+    @pytest.mark.parametrize("seed", [19, 24, 25])
+    def test_later_fit_never_below_incumbent(self, seed):
+        """A later fit ascends the incumbent alone, on a window that has
+        slid since the incumbent was fit, and ends no lower on it."""
+        rng = np.random.default_rng(seed)
+        x, y = sample_gp_data(rng, Hyperparams(1.0, 0.7, 0.1), n=40)
+        model = GpModel(window=30, starts=2, seed=seed)
+        for xi, yi in zip(x, y):
+            model.observe(xi, yi)
+            if len(model.targets) == 20:
+                model.fit()
+        incumbent = model.hyper
+        model.fit()
+        v_inc, _ = log_marginal_likelihood(x[10:], y[10:], incumbent)
+        v_fit, _ = log_marginal_likelihood(x[10:], y[10:], model.hyper)
+        assert model.hyper != incumbent
+        assert v_fit >= v_inc - 1e-12
+
     def test_sigma_n_floor_respected(self):
         rng = np.random.default_rng(20)
         # noise-free smooth data pushes sigma_n to the floor, not below

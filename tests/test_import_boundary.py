@@ -31,16 +31,17 @@ SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 # a process pool's modules: 13 of them, about 40 ms to import
 POOL_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))"
-# forces two usable CPUs in a child interpreter, so a fit with two or more
-# starts forks a worker, and counts the workers the fits fork
+# forces two usable CPUs in a child interpreter, so a run's first fit with
+# two or more starts forks a worker, and counts the workers the fits fork
 TWO_CPUS = (
     "from adaptive_fbl import gp\n"
     "gp.usable_cpus, forks, fork = (lambda: 2), [], gp.fork_child\n"
     "gp.fork_child = lambda body, name: forks.append(name) or fork(body, name)\n"
 )
 
-# a short case e: GP fits happen, but on small windows from one start, or
-# from three with gp_starts = 2 (one forked worker per fit, given two CPUs)
+# a short case e: GP fits happen, but on small windows; the first fit
+# ascends one start, or three with gp_starts = 2 (one forked worker, given
+# two CPUs), and each later fit the incumbent alone
 GP_CONFIG = "cases = e\nh = 0.02\ngp_window = 10\ngp_starts = {starts}\n"
 # the benchmark's wide_window workload: fits on up to 200 x 200 matrices
 WIDE_WINDOW = "cases = e\nh = 0.01\ngp_window = 200\n"
@@ -108,8 +109,8 @@ def test_cli_import_and_gp_free_case_leave_scipy_unloaded(tmp_path):
         "import json, sys\n"
         "import adaptive_fbl.cli\n"
         f"after_import = [{SCIPY_LOADED}, {POOL_LOADED}]\n"
-        "from adaptive_fbl import run_case, scenario_for_case\n"
-        "run_case(scenario_for_case('b', duration=1.0, t1=0.5, t2=0.8, h=0.01), csv_path='b.csv')\n"
+        "from adaptive_fbl import Scenario, run_case\n"
+        "run_case(Scenario('b', duration=1.0, t1=0.5, t2=0.8, h=0.01), csv_path='b.csv')\n"
         f"print(json.dumps([after_import, [{SCIPY_LOADED}, {POOL_LOADED}]]))\n",
         tmp_path,
     )
@@ -117,8 +118,8 @@ def test_cli_import_and_gp_free_case_leave_scipy_unloaded(tmp_path):
 
 
 def test_multi_start_fit_on_two_cpus_loads_no_process_pool(tmp_path):
-    """Each fit forks and reaps its worker itself, so a run whose fits split
-    three starts over two CPUs loads neither multiprocessing nor
+    """A fit forks and reaps its worker itself, so a run whose first fit
+    splits three starts over two CPUs loads neither multiprocessing nor
     concurrent.futures, and leaves no child process."""
     (tmp_path / "gp.cfg").write_text(GP_CONFIG.format(starts=2))
     result = run_child(
@@ -130,7 +131,7 @@ def test_multi_start_fit_on_two_cpus_loads_no_process_pool(tmp_path):
         f"print(json.dumps([code, {POOL_LOADED}, child, len(forks)]))\n",
         tmp_path,
     )
-    assert result[:3] == [0, [], None] and result[3] > 1
+    assert result == [0, [], None, 1]
 
 
 def test_gp_fit_loads_only_the_two_wrapper_modules(tmp_path):

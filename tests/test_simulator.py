@@ -29,7 +29,6 @@ from adaptive_fbl.simulator import (
     compute_metrics,
     lyapunov_monitor,
     run_case,
-    scenario_for_case,
     stage_masks,
     stage_rows,
 )
@@ -62,7 +61,7 @@ class TestScenario:
 
     def test_unknown_case(self):
         with pytest.raises(ValueError):
-            scenario_for_case("f")
+            Scenario("f")
 
     def test_flag_contradiction_rejected(self):
         """The case flags live on the scenario alone, so no second copy can
@@ -75,7 +74,7 @@ class TestScenario:
         with pytest.raises(TypeError):
             LearnerConfig(cl_enabled=False)
         with pytest.raises(TypeError):
-            scenario_for_case("a", rob_enabled=False)
+            Scenario("a", rob_enabled=False)
         with pytest.raises(TypeError):
             Scenario("a", cl_enabled=True)
 
@@ -90,9 +89,9 @@ class TestScenario:
         """A learning case whose stage 1 rounds away would run in stage 2
         from its first row and never learn, without an error."""
         with pytest.raises(ValueError, match=f"leaves {empty} .* without rows"):
-            scenario_for_case("b", h=h, t1=t1, t2=t2, duration=2.0)
+            Scenario("b", h=h, t1=t1, t2=t2, duration=2.0)
         # t1 == t2 asks for no stage 2, and gets none
-        assert scenario_for_case("b", h=0.5, t1=10.0, t2=10.0).t2 == 10.0
+        assert Scenario("b", h=0.5, t1=10.0, t2=10.0).t2 == 10.0
 
     @pytest.mark.parametrize(
         "make, name, value",
@@ -116,7 +115,7 @@ class TestScenario:
         """inf and nan fail at construction, naming the field, not in the
         middle of a run: `nan <= 0` is False, so a range check passes it."""
         if make is Scenario:
-            make = functools.partial(scenario_for_case, "b")
+            make = functools.partial(Scenario, "b")
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make(**{name: value})
 
@@ -135,7 +134,7 @@ class TestScenario:
             raise AssertionError("a stepping kernel was bound")
 
         monkeypatch.setattr(simulator, "step_kernel", unbound)
-        run = functools.partial(run_case, scenario_for_case("e", h=0.01, duration=2.0, t1=0.5, t2=1.0))
+        run = functools.partial(run_case, Scenario("e", h=0.01, duration=2.0, t1=0.5, t2=1.0))
         start = {
             "stack_capacity": lambda v: run(learner=LearnerConfig(stack_capacity=v)),
             "window": lambda v: run(gp_cfg=GpConfig(window=v)),
@@ -158,7 +157,7 @@ class TestScenario:
         monkeypatch.setattr(simulator, "step_kernel", counted)
         cfg = ControllerConfig(gains=(20.0, 20.0, 20.0))
         with pytest.raises(ValueError, match="3 gains, plant has order 2"):
-            run_case(scenario_for_case("a", duration=1.0), cfg=cfg)
+            run_case(Scenario("a", duration=1.0), cfg=cfg)
         assert calls["step_kernel"] == 0
 
 
@@ -295,11 +294,11 @@ class TestStageClock:
         """An explicitly passed benchmark plant is disturbed only where
         the case says so."""
         for cid in ("a", "b"):
-            tr, _ = run_case(scenario_for_case(cid, h=0.01, duration=12.0), plant=benchmark_plant())
+            tr, _ = run_case(Scenario(cid, h=0.01, duration=12.0), plant=benchmark_plant())
             assert np.all(tr.d_true == 0.0)
 
     def test_disturbance_follows_t1(self):
-        scn = scenario_for_case("c", h=0.01, duration=9.0, t1=5.0, t2=8.0)
+        scn = Scenario("c", h=0.01, duration=9.0, t1=5.0, t2=8.0)
         tr, _ = run_case(scn)
         assert_stage_clock(tr, scn)
         assert tr.d_true[500] != 0.0
@@ -307,7 +306,7 @@ class TestStageClock:
     def test_switch_on_a_step_that_does_not_divide_t1(self):
         """At h = 0.003 the first stage-2 row is t = 9.999: it is
         disturbed, and the weights stop there."""
-        scn = scenario_for_case("c", h=0.003, duration=10.05)
+        scn = Scenario("c", h=0.003, duration=10.05)
         tr, _ = run_case(scn)
         assert tr.t[3333] == pytest.approx(9.999)
         assert tr.stage[3333] == 2 and tr.d_true[3333] != 0.0
@@ -322,7 +321,7 @@ class TestStageClock:
     )
     def test_gates_switch_at_stage_rows(self, h, t1, gap, duration):
         for cid in ("c", "d", "e"):
-            scn = scenario_for_case(cid, h=h, t1=t1, t2=t1 + gap, duration=duration)
+            scn = Scenario(cid, h=h, t1=t1, t2=t1 + gap, duration=duration)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(simulator, "GpModel", OracleGp)
                 tr, _ = run_case(scn)
@@ -358,7 +357,7 @@ def linear_loop_error(duration, h=1e-3):
     """Max |e_sim - e_analytic| on the linear closed loop: ideal weights,
     no disturbance, and no extra terms, so the tracking error follows the
     pure linear error system."""
-    scn = scenario_for_case("a", duration=duration, h=h, w0=W_STAR.copy())
+    scn = Scenario("a", duration=duration, h=h, w0=W_STAR.copy())
     cfg = ControllerConfig(gains=np.array([20.0, 20.0]), m=0.0)
     trace, _ = run_case(scn, cfg=cfg)
     a, b = integrator_chain(2)
@@ -422,7 +421,7 @@ class TestSteppingCore:
 
         monkeypatch.setattr(simulator, "step_kernel", observed)
         learning, steps = 10, 20
-        scn = scenario_for_case("b", duration=steps * 1e-3, t1=learning * 1e-3, t2=0.015)
+        scn = Scenario("b", duration=steps * 1e-3, t1=learning * 1e-3, t2=0.015)
         counted_reference = ReferenceModel(counted("trajectory", reference.trajectory), reference.amplitude)
         run_case(scn, plant=counted_plant, reference=counted_reference)
         # three stages inside each step; the row's evaluation is its k1
@@ -445,8 +444,8 @@ class TestSteppingCore:
             return compiled(name, source)
 
         monkeypatch.setattr(simulator, "compiled", recorded)
-        run_case(scenario_for_case("b", h=1e-3))
-        assert sorted(names) == ["<step kernel n=2 m=3 >", "<step kernel n=2 m=3 learning>"]
+        run_case(Scenario("b", h=1e-3))
+        assert sorted(names) == ["<step kernel n=2 m=3 learning>", "<step kernel n=2 m=3>"]
 
 
 class TestMetrics:
@@ -504,7 +503,7 @@ class TestMetrics:
     def test_run_normalises_by_its_references_amplitude(self):
         """The reference carries its amplitude into the trace, and the
         metrics state the error as a percentage of it."""
-        tr, m = run_case(scenario_for_case("a", h=0.01), reference=sine_reference(amplitude=0.25))
+        tr, m = run_case(Scenario("a", h=0.01), reference=sine_reference(amplitude=0.25))
         assert tr.ref_amplitude == 0.25
         assert m.stage_error_pct[0] == average_error_pct(tr.e[stage_masks(tr)[0], 0], 0.25)
 
@@ -559,7 +558,7 @@ class TestLyapunovMonitor:
         that is Vdot's second difference over 6, so each row is held to
         three times the largest such estimate within two rows of it."""
         h = 1e-3
-        scn = scenario_for_case(case, h=h, duration=duration, t1=t1, t2=t1 + gap, w0=w0)
+        scn = Scenario(case, h=h, duration=duration, t1=t1, t2=t1 + gap, w0=w0)
         tr, _ = run_case(scn)
         v, vdot = tr.v, tr.vdot
         fd = (v[2:] - v[:-2]) / (2 * h)
@@ -633,7 +632,7 @@ class TestCaseOrderings:
 
 class TestDeterminism:
     def test_identical_runs_bit_identical(self):
-        scn = scenario_for_case("c", duration=3.0)
+        scn = Scenario("c", duration=3.0)
         tr1, _ = run_case(scn, seed=7)
         tr2, _ = run_case(scn, seed=7)
         for (name, col1), (_, col2) in zip(tr1.named_columns(), tr2.named_columns()):
@@ -645,7 +644,7 @@ class TestOracleInjection:
         """Compensating with the exact residual bounds what the learned
         model can achieve."""
         monkeypatch.setattr(simulator, "GpModel", OracleGp)
-        tr, metrics = run_case(scenario_for_case("e"))
+        tr, metrics = run_case(Scenario("e"))
         b_stage1 = case_runs["b"][1].stage_error_pct[0]
         assert metrics.stage_error_pct[2] <= 1.1 * b_stage1
 
@@ -660,7 +659,7 @@ class TestStateEscape:
             name="runaway",
         )
         # the disturbance acts from t1 on
-        scn = scenario_for_case("c", duration=5.0, t1=0.5, w0=np.array([0.0]))
+        scn = Scenario("c", duration=5.0, t1=0.5, w0=np.array([0.0]))
         with pytest.raises(StateEscapeError, match="state left"):
             run_case(scn, plant=runaway)
 
@@ -683,7 +682,7 @@ class TestOneStateCheckPerStep:
             pytest.param(
                 # exp(theta * thetadot) overflows inside an RK4 stage of this
                 # step; the step's start state is enough to reproduce it
-                scenario_for_case("b", h=0.03),
+                Scenario("b", h=0.03),
                 None,
                 r"state turned inf or nan in the step from t=2\.01 to t=2\.04: "
                 r"last finite state \(x, w\) = \[-0\.164359132154522\d*, 247\.18295528475\d*, .*\], "
@@ -691,14 +690,14 @@ class TestOneStateCheckPerStep:
                 id="regressor-overflow-in-stage",
             ),
             pytest.param(
-                scenario_for_case("c", h=0.01, t1=0.5, duration=1.0),
+                Scenario("c", h=0.01, t1=0.5, duration=1.0),
                 nan_disturbed_plant(),
                 r"state turned inf or nan in the step from t=0\.5 to t=0\.51: .* result \[nan, nan,",
                 id="nan-disturbance-on-first-disturbed-row",
             ),
             pytest.param(
                 # stage 2 starts on the final row: no step sees the disturbance
-                scenario_for_case("c", h=0.01, t1=1.0, duration=1.0),
+                Scenario("c", h=0.01, t1=1.0, duration=1.0),
                 nan_disturbed_plant(),
                 r"inf or nan on the final row at t=1: \(x, w\) = \[.*\], xdot = \[.*, nan\]",
                 id="nan-on-final-row-only",
@@ -707,7 +706,7 @@ class TestOneStateCheckPerStep:
                 # nan only in the fourth stage, at t = 0.76: x2 turns nan and
                 # x1 stays finite, and max(map(abs, x)) skips a nan that does
                 # not come first, so a bound on it alone lets this through
-                scenario_for_case("c", h=0.01, t1=0.5, duration=1.0),
+                Scenario("c", h=0.01, t1=0.5, duration=1.0),
                 nan_disturbed_plant(after=0.758),
                 r"state turned inf or nan in the step from t=0\.75 to t=0\.76: "
                 r".* result \[-?\d\.\d+(e-\d+)?, nan, ",
@@ -723,7 +722,7 @@ class TestOneStateCheckPerStep:
         """The first step's start state is the last finite state its
         message names, so a nan w0 is refused before stepping."""
         with pytest.raises(ValueError, match="finite"):
-            run_case(scenario_for_case("b", duration=0.1, w0=[math.nan, 0.0, 0.0]))
+            run_case(Scenario("b", duration=0.1, w0=[math.nan, 0.0, 0.0]))
 
 
 class TestPlantShape:
@@ -735,7 +734,7 @@ class TestPlantShape:
             disturbance=lambda t, x: 0.0,
         )
         with pytest.raises(ValueError, match="regressor returned"):
-            run_case(scenario_for_case("a", duration=1.0), plant=short)
+            run_case(Scenario("a", duration=1.0), plant=short)
 
     @pytest.mark.parametrize("states", [1, 3])
     def test_reference_length_checked_before_stepping(self, states):
@@ -743,4 +742,4 @@ class TestPlantShape:
         run's start with both lengths, not inside the row store."""
         wrong = ReferenceModel(lambda t: ([math.sin(t)] * states, 0.0), amplitude=1.0)
         with pytest.raises(ValueError, match=f"reference returned {states} states, the plant has order 2"):
-            run_case(scenario_for_case("a", duration=1.0), reference=wrong)
+            run_case(Scenario("a", duration=1.0), reference=wrong)

@@ -17,7 +17,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from adaptive_fbl import CASE_IDS, run_case, scenario_for_case  # noqa: E402
+from adaptive_fbl import CASE_IDS, Scenario, run_case  # noqa: E402
 
 
 def main(argv=None) -> None:
@@ -30,7 +30,7 @@ def main(argv=None) -> None:
     print("|---|---|---|---|---|---|")
     for case in CASE_IDS:
         for h in steps:
-            _, metrics = run_case(scenario_for_case(case, h=h), seed=args.seed)
+            _, metrics = run_case(Scenario(case, h=h), seed=args.seed)
             cells = [*metrics.stage_error_pct, metrics.overall_error_pct]
             print(f"| {case} | {h:g} | " + " | ".join(f"{c:.6f}" for c in cells) + " |", flush=True)
 
